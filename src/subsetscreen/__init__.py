@@ -10,6 +10,7 @@ per method.
 """
 
 from .core import (
+    EnumerationCapError,
     IterationOptions,
     ScreeningResult,
     SparseCoef,
@@ -35,7 +36,6 @@ from .experiments import (
     MethodOutcome,
     MethodTable,
     RepetitionRecord,
-    aggregate,
     aggregate_records,
     config_from_dict,
     config_to_dict,

@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ENUMERATION_CAP, exhaustive_best_subset
+from .core import EnumerationCapError, exhaustive_best_subset
 from .experiments import (
-    ConfigError,
     config_from_dict,
     config_to_dict,
     method_catalog,
@@ -116,13 +115,12 @@ def read_vector_csv(path) -> np.ndarray:
     return matrix[:, 0]
 
 
-def _write_manifest(path, command, config, seed, outputs, argv) -> None:
+def _write_manifest(path, command, config, outputs, argv) -> None:
     manifest = {
         "command": command,
         "argv": list(argv),
         "library_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "master_seed": seed,
         "config": config,
         "outputs": {k: str(v) for k, v in outputs.items()},
     }
@@ -156,6 +154,8 @@ def cmd_screen(args, argv) -> int:
     if args.test_x or args.test_y:
         if not (args.test_x and args.test_y):
             return _fail(EXIT_INPUT, "--test-x and --test-y must be given together")
+        if args.test_rows is not None:
+            return _fail(EXIT_INPUT, "--test-rows excludes --test-x and --test-y")
         try:
             X_test = read_matrix_csv(args.test_x)
             y_test = read_vector_csv(args.test_y)
@@ -173,7 +173,7 @@ def cmd_screen(args, argv) -> int:
                 f"{args.test_y}: has {y_test.shape[0]} rows but "
                 f"{args.test_x} has {X_test.shape[0]}",
             )
-    elif args.test_rows:
+    elif args.test_rows is not None:
         if not 1 <= args.test_rows <= X.shape[0] - 2:
             return _fail(
                 EXIT_DIMENSION,
@@ -241,7 +241,6 @@ def cmd_screen(args, argv) -> int:
             "test_x": args.test_x,
             "test_y": args.test_y,
         },
-        args.seed,
         {"result": out},
         argv,
     )
@@ -270,10 +269,9 @@ def cmd_simulate(args, argv) -> int:
 
     try:
         config = config_from_dict(raw)
-    except ConfigError as exc:
+        result = run_experiment(config, workers=args.workers)
+    except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
-
-    result = run_experiment(config, workers=args.workers)
 
     out_dir = Path(args.out or "simulate_out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,7 +283,6 @@ def cmd_simulate(args, argv) -> int:
         out_dir / "manifest.json",
         "simulate",
         config_to_dict(config),
-        config.seed,
         {"aggregate": agg_path, "repetitions": rep_path},
         argv,
     )
@@ -309,28 +306,23 @@ def cmd_oracle(args, argv) -> int:
         )
     p = X.shape[1]
     M = args.subset_size
-    if M > p:
-        return _fail(EXIT_DIMENSION, f"M = {M} exceeds the number of columns {p}")
-    total = math.comb(p, M)
-    if total > ENUMERATION_CAP:
-        return _fail(
-            EXIT_CAP,
-            f"C({p}, {M}) = {total} subsets exceed the enumeration cap "
-            f"{ENUMERATION_CAP}",
-        )
+    if not 0 <= M <= p:
+        return _fail(EXIT_DIMENSION, f"M = {M} is outside [0, p] with p = {p}")
 
     try:
         problem = standardize(X, y)
+        res = exhaustive_best_subset(problem, M)
+    except EnumerationCapError as exc:
+        return _fail(EXIT_CAP, str(exc))
     except ValueError as exc:
         return _fail(EXIT_INPUT, str(exc))
-    res = exhaustive_best_subset(problem, M)
 
     result = {
         "command": "oracle",
         "subset_size": M,
         "n": int(X.shape[0]),
         "p": p,
-        "subsets_evaluated": total,
+        "subsets_evaluated": math.comb(p, M),
         "selected": [int(j) + 1 for j in res.coef.active],
         "rss": res.final_rss,
     }
@@ -342,7 +334,6 @@ def cmd_oracle(args, argv) -> int:
         out.with_suffix(out.suffix + ".manifest.json"),
         "oracle",
         {"x_path": str(args.x_path), "y_path": str(args.y_path), "subset_size": M},
-        args.seed,
         {"result": out},
         argv,
     )
@@ -351,17 +342,15 @@ def cmd_oracle(args, argv) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
-    shared.add_argument("--out", default=None, help="output file or directory")
-    shared.add_argument(
-        "--workers", type=int, default=1, help="parallel workers for repetitions"
-    )
-    shared.add_argument(
+    # Each subcommand takes only the flags it uses.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output file or directory")
+    iteration = argparse.ArgumentParser(add_help=False)
+    iteration.add_argument(
         "--rel-tol", type=float, default=None, dest="rel_tol",
         help="relative objective-decrease stopping tolerance",
     )
-    shared.add_argument(
+    iteration.add_argument(
         "--max-iter", type=int, default=None, dest="max_iter",
         help="iteration cap for the iterative methods",
     )
@@ -374,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     screen = sub.add_parser(
-        "screen", parents=[shared], help="screen a dataset and write the selection"
+        "screen", parents=[output, iteration],
+        help="screen a dataset and write the selection",
     )
     screen.add_argument("x_path", help="CSV of predictors (optional header row)")
     screen.add_argument("y_path", help="single-column CSV response")
@@ -393,14 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     screen.add_argument("--test-y", default=None, help="separate test response CSV")
 
     simulate = sub.add_parser(
-        "simulate", parents=[shared], help="run a Monte Carlo study from a JSON config"
+        "simulate", parents=[output, iteration],
+        help="run a Monte Carlo study from a JSON config",
     )
     simulate.add_argument(
         "config_path", help="JSON config (or a manifest.json from a prior run)"
     )
+    simulate.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
+    simulate.add_argument(
+        "--workers", type=int, default=1, help="parallel workers for repetitions"
+    )
 
     oracle = sub.add_parser(
-        "oracle", parents=[shared], help="exhaustive best-subset search"
+        "oracle", parents=[output], help="exhaustive best-subset search"
     )
     oracle.add_argument("x_path", help="CSV of predictors (optional header row)")
     oracle.add_argument("y_path", help="single-column CSV response")

@@ -29,6 +29,7 @@ __all__ = [
     "multi_start_window",
     "multi_start_foss_fs",
     "exhaustive_best_subset",
+    "EnumerationCapError",
     "TERM_CONVERGED",
     "TERM_MAX_ITER",
     "TERM_CYCLE",
@@ -41,6 +42,10 @@ TERM_CYCLE = "cycle"
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_ITER = {"oss": 10_000, "foss": 500}
 ENUMERATION_CAP = 2_000_000
+
+
+class EnumerationCapError(ValueError):
+    """The number of subsets to enumerate exceeds the enumeration cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,15 +311,16 @@ def exhaustive_best_subset(
     step); exact ties in the objective go to the lexicographically
     smallest subset.
 
-    Raises ValueError when the number of subsets exceeds ``cap``.
+    Raises ValueError when M is outside [0, p], and EnumerationCapError
+    when the number of subsets exceeds ``cap``.
     """
     p = problem.p
-    if M > p:
-        raise ValueError(f"M = {M} exceeds the number of columns {p}")
+    if not 0 <= M <= p:
+        raise ValueError(f"M = {M} is outside [0, p] with p = {p}")
     total = math.comb(p, M)
     if total > cap:
-        raise ValueError(
-            f"enumeration of C({p}, {M}) = {total} subsets exceeds the cap {cap}"
+        raise EnumerationCapError(
+            f"C({p}, {M}) = {total} subsets exceed the enumeration cap {cap}"
         )
     y = problem.y
     best_rss = math.inf

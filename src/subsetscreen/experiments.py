@@ -10,6 +10,7 @@ support) and the average objective (mean final residual sum of squares).
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -17,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .core import (
+    DEFAULT_REL_TOL,
     IterationOptions,
     SparseCoef,
     multi_start_foss_fs,
@@ -50,7 +52,6 @@ __all__ = [
     "config_to_dict",
     "run_method",
     "evaluate_repetition",
-    "aggregate",
     "run_experiment",
     "write_repetition_records",
     "load_repetition_records",
@@ -96,7 +97,7 @@ class ExperimentConfig:
     repetitions: int
     methods: tuple[str, ...]
     design: DesignSpec = DesignSpec()
-    rel_tol: float = 1e-10
+    rel_tol: float = DEFAULT_REL_TOL
     max_iter: int | None = None
     isis_batch: int | None = None
 
@@ -190,7 +191,7 @@ def _repetition_methods(
     the submodel estimates the basic method reports.
     """
     if rel_tol is None:
-        rel_tol = 1e-10
+        rel_tol = DEFAULT_REL_TOL
     parsed = [(m, *_split_method(m)) for m in methods]
     bases = {base for _, _, base in parsed}
 
@@ -233,11 +234,10 @@ def run_method(
     M: int,
     rel_tol: float | None = None,
     max_iter: int | None = None,
-    isis_batch: int | None = None,
 ) -> MethodOutcome:
     """Run a single method by name on an already-standardized problem."""
     return _repetition_methods(
-        problem, [method], M, rel_tol=rel_tol, max_iter=max_iter, isis_batch=isis_batch
+        problem, [method], M, rel_tol=rel_tol, max_iter=max_iter
     )[method]
 
 
@@ -278,48 +278,6 @@ def evaluate_repetition(
     )
 
 
-def _columns_table(
-    methods, per_method_rows: dict[str, tuple[list, list, list]], exclusions: int
-) -> MethodTable:
-    rows = []
-    for method in methods:
-        covered, rss_values, iters = per_method_rows[method]
-        count = len(rss_values)
-        rows.append(
-            MethodAggregate(
-                method=method,
-                cr=sum(covered) / count,
-                ao=float(np.mean(rss_values)),
-                mean_iterations=float(np.mean(iters)),
-                repetitions=count,
-                exclusions=exclusions,
-            )
-        )
-    return MethodTable(rows=tuple(rows))
-
-
-def aggregate(results, true_support, exclusions: int = 0) -> MethodTable:
-    """Aggregate per-repetition outcomes into a per-method table.
-
-    The coverage rate is the exact count of repetitions whose selected
-    set contains ``true_support``, divided by the number of repetitions;
-    the average objective is the mean of the final residual sums of
-    squares.
-    """
-    if not results:
-        raise ValueError("no repetition results to aggregate")
-    support = set(int(j) for j in true_support)
-    methods = list(results[0].keys())
-    per_method: dict[str, tuple[list, list, list]] = {m: ([], [], []) for m in methods}
-    for outcome_map in results:
-        for method in methods:
-            outcome = outcome_map[method]
-            per_method[method][0].append(int(support.issubset(outcome.selected)))
-            per_method[method][1].append(outcome.rss)
-            per_method[method][2].append(outcome.iterations)
-    return _columns_table(methods, per_method, exclusions)
-
-
 def _evaluate_safely(config: ExperimentConfig, rep_index: int):
     try:
         return rep_index, evaluate_repetition(config, rep_index), None
@@ -334,7 +292,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     ``workers > 1`` they run in a process pool.  Output is identical for
     any worker count because every repetition derives its own streams
     and the aggregation folds records in repetition order.
+
+    Raises ValueError when ``workers`` is below 1, and when every
+    repetition is excluded (naming the first exclusion).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     reps = range(config.repetitions)
     task = partial(_evaluate_safely, config)
     if workers > 1:
@@ -345,13 +308,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 
     support = set(config.true_support)
     records: list[RepetitionRecord] = []
-    outcomes = []
     exclusions: list[tuple[int, str]] = []
     for rep_index, outcome_map, error in evaluated:
         if error is not None:
             exclusions.append((rep_index, error))
             continue
-        outcomes.append(outcome_map)
         for method in config.methods:
             outcome = outcome_map[method]
             records.append(
@@ -364,26 +325,48 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
                     selected=outcome.selected,
                 )
             )
-    table = aggregate(outcomes, config.true_support, exclusions=len(exclusions))
+    if not records:
+        rep_index, error = exclusions[0]
+        raise ValueError(
+            f"all {len(exclusions)} repetition(s) were excluded; "
+            f"the first, repetition {rep_index}, failed with {error}"
+        )
+    table = aggregate_records(records, exclusions=len(exclusions))
     return ExperimentResult(
         table=table, records=tuple(records), exclusions=tuple(exclusions)
     )
 
 
 def aggregate_records(records, exclusions: int = 0) -> MethodTable:
-    """Rebuild the per-method table from persisted repetition records."""
+    """Fold repetition records into the per-method table.
+
+    The coverage rate is the exact count of records whose selected set
+    contains the true support, divided by the number of repetitions; the
+    average objective is the mean of the final residual sums of squares.
+    Methods appear in the order of their first record.
+    """
     if not records:
         raise ValueError("no records to aggregate")
-    methods = []
     per_method: dict[str, tuple[list, list, list]] = {}
     for record in records:
-        if record.method not in per_method:
-            methods.append(record.method)
-            per_method[record.method] = ([], [], [])
-        per_method[record.method][0].append(record.covered)
-        per_method[record.method][1].append(record.rss)
-        per_method[record.method][2].append(record.iterations)
-    return _columns_table(methods, per_method, exclusions)
+        covered, rss_values, iters = per_method.setdefault(record.method, ([], [], []))
+        covered.append(record.covered)
+        rss_values.append(record.rss)
+        iters.append(record.iterations)
+    rows = []
+    for method, (covered, rss_values, iters) in per_method.items():
+        count = len(rss_values)
+        rows.append(
+            MethodAggregate(
+                method=method,
+                cr=sum(covered) / count,
+                ao=float(np.mean(rss_values)),
+                mean_iterations=float(np.mean(iters)),
+                repetitions=count,
+                exclusions=exclusions,
+            )
+        )
+    return MethodTable(rows=tuple(rows))
 
 
 def write_repetition_records(path, records) -> None:
@@ -486,7 +469,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         value = raw_map[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(label, "must be a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(label, "must be finite")
+        return number
 
     if kind == "equicorrelated":
         n = require_int("n", 2)
@@ -541,9 +530,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             _split_method(method)
         except ValueError as exc:
             raise ConfigError("methods", str(exc)) from exc
+        if method.lower() in methods:
+            raise ConfigError("methods", f"{method!r} is listed twice")
         methods.append(method.lower())
 
-    rel_tol = require_number("rel_tol") if "rel_tol" in raw else 1e-10
+    rel_tol = require_number("rel_tol") if "rel_tol" in raw else DEFAULT_REL_TOL
     if rel_tol < 0.0:
         raise ConfigError("rel_tol", "must be nonnegative")
     max_iter = require_int("max_iter", 1) if "max_iter" in raw else None

@@ -87,6 +87,23 @@ class TestScreen:
         assert result["test_mse"] <= 2.0 * sigma**2
         assert result["n"] == 200 and result["test_rows"] == 30
 
+    @pytest.mark.parametrize("rows", ["0", "-1"])
+    def test_out_of_range_test_rows_exits_3(self, tmp_path, rows):
+        rng = np.random.default_rng(79)
+        X = rng.standard_normal((10, 3))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        out = tmp_path / "result.json"
+        assert main(["screen", x_path, y_path, "--test-rows", rows, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_test_rows_with_test_files_exits_2(self, tmp_path):
+        rng = np.random.default_rng(83)
+        X = rng.standard_normal((10, 3))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        argv = ["screen", x_path, y_path, "--test-x", x_path, "--test-y", y_path]
+        assert main([*argv, "--test-rows", "2", "--out", str(tmp_path / "r.json")]) == 2
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_method_exits_2(self, tmp_path):
         rng = np.random.default_rng(73)
         X = rng.standard_normal((10, 3))
@@ -155,6 +172,15 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "C(500, 30)" in err
 
+    def test_negative_subset_size_exits_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(81)
+        X = rng.standard_normal((10, 3))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        out = tmp_path / "oracle.json"
+        assert main(["oracle", x_path, y_path, "-M", "-1", "--out", str(out)]) == 3
+        assert "M = -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_orthogonal_design_matches_marginal_ranking(self, tmp_path):
         X = orthogonal_design(77, n=30, p=7)
         rng = np.random.default_rng(78)
@@ -217,3 +243,46 @@ class TestSimulate:
         assert main(["simulate", config, "--out", str(a)]) == 0
         assert main(["simulate", config, "--out", str(b), "--seed", "6"]) == 0
         assert (a / "repetitions.csv").read_bytes() != (b / "repetitions.csv").read_bytes()
+
+    def test_nonfinite_sigma_names_key(self, tmp_path, capsys):
+        config = self.base_config(tmp_path, sigma=float("nan"))
+        assert main(["simulate", config, "--out", str(tmp_path / "run")]) == 2
+        assert "'sigma'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_repetition_excluded_exits_2_without_output(self, tmp_path, capsys):
+        # every response overflows, so every repetition is excluded
+        config = self.base_config(tmp_path, beta_value=1e308)
+        out = tmp_path / "run"
+        assert main(["simulate", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "repetition 0" in err and "non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exits_2(self, tmp_path, workers):
+        config = self.base_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["simulate", config, "--workers", workers, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("screen", ["--seed", "1"]),
+        ("screen", ["--workers", "2"]),
+        ("oracle", ["--seed", "1"]),
+        ("oracle", ["--workers", "2"]),
+        ("oracle", ["--rel-tol", "1e-8"]),
+        ("oracle", ["--max-iter", "5"]),
+    ],
+)
+def test_flag_a_subcommand_does_not_use_exits_2(tmp_path, command, flag):
+    rng = np.random.default_rng(82)
+    X = rng.standard_normal((10, 3))
+    x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+    with pytest.raises(SystemExit) as exc:
+        main([command, x_path, y_path, "-M", "1", *flag])
+    assert exc.value.code == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subsetscreen import (
+    EnumerationCapError,
     IterationOptions,
     SparseCoef,
     TERM_CONVERGED,
@@ -308,7 +309,7 @@ class TestExhaustive:
 
     def test_cap(self):
         prob = random_problem(32, n=40, p=30, d=2)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(EnumerationCapError, match=r"C\(30, 10\)"):
             exhaustive_best_subset(prob, 10)
 
     def test_minimum_norm_refit_handles_duplicate_columns(self):

@@ -3,7 +3,7 @@ import pytest
 
 from subsetscreen import (
     ConfigError,
-    aggregate,
+    RepetitionRecord,
     aggregate_records,
     config_from_dict,
     config_to_dict,
@@ -58,6 +58,11 @@ class TestConfig:
             ({"methods": ["lar"]}, "methods"),
             ({"banana": 1}, "banana"),
             ({"seed": "abc"}, "seed"),
+            ({"sigma": float("nan")}, "sigma"),
+            ({"sigma": 10**400}, "sigma"),
+            ({"beta_value": float("inf")}, "beta_value"),
+            ({"rel_tol": float("nan")}, "rel_tol"),
+            ({"methods": ["sis", "SIS"]}, "methods"),
         ],
     )
     def test_violations_name_the_key(self, overrides, key):
@@ -137,36 +142,51 @@ class TestEvaluateRepetition:
         assert set(range(10)) <= set(outcomes["fs"].selected)
 
 
+def records_of(result, method):
+    return [r for r in result.records if r.method == method]
+
+
 class TestAggregate:
     def test_coverage_rate_is_exact_ratio(self):
-        config = small_config(repetitions=2, methods=["sis"])
-        outcomes = [evaluate_repetition(config, r) for r in range(2)]
-        # force one covering and one non-covering by lying about support
-        table_real = aggregate(outcomes, config.true_support)
-        assert table_real.row("sis").repetitions == 2
-        fake_support = (0, 1, 2, 13)
-        covered = [
-            set(fake_support) <= set(o["sis"].selected) for o in outcomes
+        config = small_config(repetitions=4)
+        result = run_experiment(config)
+        support = set(config.true_support)
+        for method in config.methods:
+            records = records_of(result, method)
+            row = result.table.row(method)
+            assert row.repetitions == len(records) == 4
+            for record in records:
+                assert record.covered == int(support <= set(record.selected))
+            assert row.cr == sum(r.covered for r in records) / row.repetitions
+        # a fold over hand-made records, one covering and two not
+        made = [
+            RepetitionRecord(rep, "sis", covered, 1.0, 0, ())
+            for rep, covered in enumerate([1, 0, 0])
         ]
-        table_fake = aggregate(outcomes, fake_support)
-        assert table_fake.row("sis").cr == sum(covered) / 2
+        assert aggregate_records(made).row("sis").cr == 1 / 3
 
     def test_constant_rss_mean(self):
-        config = small_config(repetitions=3, methods=["sis"])
-        outcomes = [evaluate_repetition(config, r) for r in range(3)]
-        table = aggregate(outcomes, config.true_support)
-        expected = np.mean([o["sis"].rss for o in outcomes])
-        assert table.row("sis").ao == pytest.approx(expected, rel=0, abs=0)
+        config = small_config(repetitions=3)
+        result = run_experiment(config)
+        for method in config.methods:
+            expected = float(np.mean([r.rss for r in records_of(result, method)]))
+            assert result.table.row(method).ao == expected
 
 
 class TestRunExperiment:
     def test_single_repetition_composition(self):
         config = small_config(repetitions=1)
         result = run_experiment(config)
-        direct = aggregate([evaluate_repetition(config, 0)], config.true_support)
+        direct = evaluate_repetition(config, 0)
+        support = set(config.true_support)
         for method in config.methods:
-            assert result.table.row(method).cr == direct.row(method).cr
-            assert result.table.row(method).ao == direct.row(method).ao
+            (record,) = records_of(result, method)
+            outcome = direct[method]
+            assert record.selected == outcome.selected
+            assert record.rss == outcome.rss
+            assert record.covered == int(support <= set(outcome.selected))
+            assert result.table.row(method).cr == record.covered
+            assert result.table.row(method).ao == outcome.rss
 
     def test_worker_count_does_not_change_output(self):
         config = small_config(repetitions=6, methods=["sis", "foss-sis"])
