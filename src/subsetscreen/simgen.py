@@ -102,12 +102,23 @@ def gen_equicorrelated_design(
 
 
 def gen_response(X, true_model: TrueModel, stream: np.random.Generator) -> np.ndarray:
-    """Response y = X beta + sigma * z with z i.i.d. standard normal."""
+    """Response y = X beta + sigma * z with z i.i.d. standard normal.
+
+    Raises ValueError, naming the coefficient value, when X beta
+    overflows the float range.
+    """
     X = np.asarray(X, dtype=float)
     if X.shape[1] != true_model.beta.shape[0]:
         raise ValueError("design and coefficient dimensions disagree")
     z = stream.standard_normal(X.shape[0])
-    return X @ true_model.beta + true_model.sigma * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = X @ true_model.beta
+    if not np.all(np.isfinite(signal)):
+        beta_value = float(np.max(np.abs(true_model.beta)))
+        raise ValueError(
+            f"X @ beta overflowed; beta_value={beta_value:g} makes the response non-finite"
+        )
+    return signal + true_model.sigma * z
 
 
 def sylvester_hadamard(m: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "repetition 0" in err and "non-finite" in err
         assert not out.exists()
+
+    def test_overflowing_response_names_the_cause(self, tmp_path, capsys):
+        config = self.base_config(tmp_path, beta_value=1e308)
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", config, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "X @ beta overflowed; beta_value=1e+308" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_exits_2(self, tmp_path, workers):

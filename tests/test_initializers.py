@@ -5,6 +5,7 @@ from subsetscreen import (
     IterationOptions,
     exhaustive_best_subset,
     forward_stepwise,
+    initializers,
     isis,
     refit_subset,
     rss,
@@ -14,6 +15,19 @@ from subsetscreen import (
 )
 
 from _support import orthogonal_design, random_problem
+
+
+def count_min_norm_calls(monkeypatch):
+    """Route the stepwise path's minimum-norm solver through a counter."""
+    calls = []
+    solver = initializers.min_norm_least_squares
+
+    def counted(A, y):
+        calls.append(A.shape[1])
+        return solver(A, y)
+
+    monkeypatch.setattr(initializers, "min_norm_least_squares", counted)
+    return calls
 
 
 def correlated_problem(seed, n=40, p=12, d=3, rho=0.6):
@@ -174,6 +188,41 @@ class TestForwardStepwise:
         coef = path.coef_at(2)
         refit = refit_subset(prob, list(path.steps[1].active), 2)
         np.testing.assert_allclose(coef.beta, refit.beta, atol=1e-12)
+
+    def test_back_substitution_matches_min_norm_refit(self, monkeypatch):
+        prob = correlated_problem(61, n=120, p=400, d=3)
+        calls = count_min_norm_calls(monkeypatch)
+        path = forward_stepwise(prob, 60)
+        assert len(path.steps) == 60 and not path.truncated
+        assert calls == []  # full rank throughout: every prefix is back-substituted
+        for k, step in enumerate(path.steps, start=1):
+            coef = path.coef_at(k)
+            assert step.coef.shape == (k,)
+            np.testing.assert_array_equal(coef.active, step.active)
+            refit = refit_subset(prob, step.active, k)
+            np.testing.assert_allclose(coef.beta, refit.beta, rtol=1e-9, atol=1e-12)
+            assert step.rss == rss(prob, coef)
+
+    def test_near_dependent_prefixes_fall_back_to_min_norm(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        base = rng.standard_normal((40, 5))
+        e = rng.standard_normal(40)
+        # column 5 is column 0 plus a 1e-7 perturbation that carries signal
+        X = np.hstack([base, base[:, [0]] + 1e-7 * e[:, None]])
+        y = base @ np.array([1.0, -1.0, 0.5, 0.0, 0.0]) + 3.0 * e
+        prob = standardize(X, y)
+        calls = count_min_norm_calls(monkeypatch)
+        path = forward_stepwise(prob, 6)
+        added = [step.added for step in path.steps]
+        late = max(added.index(0), added.index(5))
+        span = prob.X[:, added[:late]]
+        x = prob.X[:, added[late]]
+        rel = np.linalg.norm(x - span @ np.linalg.lstsq(span, x, rcond=None)[0]) / np.linalg.norm(x)
+        assert initializers.SPAN_RTOL2 ** 0.5 < rel < initializers.FACTOR_SOLVE_RTOL
+        assert calls == list(range(late + 1, 7))
+        for k in range(late + 1, 7):
+            refit = refit_subset(prob, path.steps[k - 1].active, k)
+            np.testing.assert_array_equal(path.coef_at(k).beta, refit.beta)
 
 
 class TestImprovementWorkflow:
