@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import SparseCoef, refit_subset, rss
-from .numerics import RANK_RTOL, StandardizedProblem, min_norm_least_squares
+from .numerics import FACTOR_SOLVE_RTOL, StandardizedProblem, min_norm_least_squares
 
 __all__ = ["FsStep", "FsPath", "sis", "isis", "forward_stepwise"]
 
@@ -29,15 +29,10 @@ SPAN_RTOL2 = 1e-20
 NORM_RECOMPUTE_RTOL2 = 1e-8
 
 # Back-substitution on the stepwise path's own triangular factor is used
-# only while every diagonal entry of that factor exceeds this fraction of
-# the largest one.  Selection admits a column down to a relative residual
-# norm of sqrt(SPAN_RTOL2) = RANK_RTOL, the threshold below which the
-# pivoted QR of min_norm_least_squares calls a column dependent, so near
-# it the two factorizations can disagree about the rank through rounding
-# alone.  Five orders of magnitude above that threshold, a prefix is
-# clearly of full rank and its least-squares solution unique; every prefix
-# from the first near-dependent column on goes to the minimum-norm solver.
-FACTOR_SOLVE_RTOL = math.sqrt(RANK_RTOL)
+# only while every diagonal entry of that factor exceeds FACTOR_SOLVE_RTOL
+# times the largest one.  Selection admits a column down to a relative
+# residual norm of sqrt(SPAN_RTOL2) = RANK_RTOL, so every prefix from the
+# first near-dependent column on goes to the minimum-norm solver.
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ least squares built on rank-revealing QR.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +29,14 @@ SPECTRAL_INFLATION = 1e-8
 
 # R diagonals below this fraction of the largest one mark dependent columns.
 RANK_RTOL = 1e-10
+
+# A Gram-Schmidt factor is trusted only while every column keeps more than
+# this fraction of its norm after the earlier columns are projected out.
+# Near RANK_RTOL the factor and the pivoted QR of min_norm_least_squares
+# can disagree about the rank through rounding alone; five orders of
+# magnitude above it a column clearly adds a direction.  Callers defer
+# anything at or below it to min_norm_least_squares.
+FACTOR_SOLVE_RTOL = math.sqrt(RANK_RTOL)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,19 @@
 """Shared test helpers: independent oracles and instance generators."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 
 from subsetscreen import standardize
+from subsetscreen.core import (
+    ENUMERATION_CAP,
+    TERM_CONVERGED,
+    EnumerationCapError,
+    ScreeningResult,
+    SparseCoef,
+)
+from subsetscreen.numerics import StandardizedProblem, min_norm_least_squares
 
 
 def jacobi_max_eigenvalue(S, sweeps=60, tol=1e-14):
@@ -34,6 +45,22 @@ def jacobi_max_eigenvalue(S, sweeps=60, tol=1e-14):
                 A[:, i] = c * cols_i - s * cols_j
                 A[:, j] = s * cols_i + c * cols_j
     return float(np.max(np.diag(A)))
+
+
+def count_min_norm_calls(monkeypatch, module):
+    """Route ``module``'s minimum-norm solver through a counter.
+
+    Returns the list that receives the column count of every call.
+    """
+    calls = []
+    solver = module.min_norm_least_squares
+
+    def counted(A, y):
+        calls.append(A.shape[1])
+        return solver(A, y)
+
+    monkeypatch.setattr(module, "min_norm_least_squares", counted)
+    return calls
 
 
 def random_problem(seed, n=30, p=8, d=2, sigma=0.5, beta_value=2.0):
@@ -69,3 +96,48 @@ def unique_solution_problem(seed, n=40, M=3, sigma=0.2):
     beta[support] = rng.choice([-3.0, 3.0], size=M)
     y = X @ beta + sigma * rng.standard_normal(n)
     return standardize(X, y), M
+
+
+def plain_best_subset(
+    problem: StandardizedProblem, M: int, cap: int = ENUMERATION_CAP
+) -> ScreeningResult:
+    """Globally optimal size-M subset by full enumeration.
+
+    The plain enumerator that ``exhaustive_best_subset`` replaced, kept
+    as its reference.  Every subset is refit with minimum-norm least
+    squares (so rank-deficient subsets are handled the same way as in the
+    refitting step); exact ties in the objective go to the
+    lexicographically smallest subset.
+
+    Raises ValueError when M is outside [0, p], and EnumerationCapError
+    when the number of subsets exceeds ``cap``.
+    """
+    p = problem.p
+    if not 0 <= M <= p:
+        raise ValueError(f"M = {M} is outside [0, p] with p = {p}")
+    total = math.comb(p, M)
+    if total > cap:
+        raise EnumerationCapError(
+            f"C({p}, {M}) = {total} subsets exceed the enumeration cap {cap}"
+        )
+    y = problem.y
+    best_rss = math.inf
+    best_subset: tuple[int, ...] | None = None
+    best_vals: np.ndarray | None = None
+    for subset in combinations(range(p), M):
+        idx = np.asarray(subset, dtype=int)
+        vals = min_norm_least_squares(problem.X[:, idx], y)
+        r = y - problem.X[:, idx] @ vals if M else y
+        val = float(r @ r)
+        if val < best_rss:
+            best_rss, best_subset, best_vals = val, subset, vals
+
+    beta = np.zeros(p)
+    if best_subset:
+        beta[list(best_subset)] = best_vals
+    return ScreeningResult(
+        coef=SparseCoef.from_dense(beta, M),
+        rss_trace=np.asarray([best_rss]),
+        iterations=0,
+        termination=TERM_CONVERGED,
+    )

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsetscreen import (
     EnumerationCapError,
@@ -20,8 +24,15 @@ from subsetscreen import (
     forward_stepwise,
     standardize,
 )
+from subsetscreen import core
 
-from _support import orthogonal_design, random_problem, unique_solution_problem
+from _support import (
+    count_min_norm_calls,
+    orthogonal_design,
+    plain_best_subset,
+    random_problem,
+    unique_solution_problem,
+)
 
 
 class TestRss:
@@ -321,3 +332,154 @@ class TestExhaustive:
         res = exhaustive_best_subset(prob, 2)
         assert np.isfinite(res.final_rss)
         assert min_norm_least_squares(prob.X[:, res.coef.active], prob.y).shape[0] == res.coef.active.size
+
+
+def _gaussian(seed, n=25, p=8, noise=0.5):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    y = X[:, :3] @ np.array([1.5, -1.0, 0.7]) + noise * rng.standard_normal(n)
+    return X, y, rng
+
+
+def _near_collinear(gap):
+    def build():
+        X, y, rng = _gaussian(43)
+        X[:, 4] = X[:, 1] + gap * rng.standard_normal(X.shape[0])
+        return X, y
+
+    return build
+
+
+def _duplicated():
+    X, y, _ = _gaussian(41)
+    X[:, 5] = X[:, 2]
+    return X, y
+
+
+def _constant():
+    X, y, _ = _gaussian(42)
+    X[:, 3] = 4.0
+    return X, y
+
+
+def _integer_ties():
+    rng = np.random.default_rng(44)
+    X = np.round(1.5 * rng.standard_normal((20, 8)))
+    return X, X[:, [0, 2, 5]].sum(axis=1) + np.round(rng.standard_normal(20))
+
+
+def _sign_ties():
+    # Orthogonal +-1 columns and an integer response: many subsets tie in
+    # exact arithmetic, so the winner rests on the refits' rounding.
+    H = np.array([[1.0]])
+    while H.shape[0] < 16:
+        H = np.block([[H, H], [H, -H]])
+    X = H[:, 1:9]
+    return X, X[:, [0, 1, 3, 4]].sum(axis=1)
+
+
+def _exact_fit():
+    X, _, _ = _gaussian(45)
+    return X, X[:, [1, 4]] @ np.array([2.0, -1.0])
+
+
+def _fewer_rows_than_columns():
+    X, y, _ = _gaussian(46, n=5)
+    return X, y
+
+
+ORACLE_CORPUS = {
+    "gaussian-a": lambda: _gaussian(40)[:2],
+    "gaussian-b": lambda: _gaussian(47, n=40, p=9, noise=2.0)[:2],
+    "duplicated-column": _duplicated,
+    "constant-column": _constant,
+    "near-collinear-1e-4": _near_collinear(1e-4),
+    "near-collinear-1e-7": _near_collinear(1e-7),
+    "near-collinear-1e-10": _near_collinear(1e-10),
+    "rounded-integer-ties": _integer_ties,
+    "sign-design-ties": _sign_ties,
+    "exact-fit": _exact_fit,
+    "n-below-M": _fewer_rows_than_columns,
+}
+
+
+def assert_same_oracle(problem, M):
+    """The swept oracle gives the plain enumerator's answer bit for bit."""
+    res = exhaustive_best_subset(problem, M)
+    ref = plain_best_subset(problem, M)
+    np.testing.assert_array_equal(res.coef.active, ref.coef.active)
+    assert res.coef.beta.tobytes() == ref.coef.beta.tobytes()
+    assert res.final_rss == ref.final_rss
+
+
+@st.composite
+def small_oracle_problems(draw):
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 9))
+    M = draw(st.integers(0, p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, p))
+    shape = draw(st.sampled_from(["gaussian", "duplicate", "rounded", "near"]))
+    if shape == "duplicate":
+        X[:, draw(st.integers(0, p - 1))] = X[:, 0]
+    elif shape == "rounded":
+        X = np.round(X)
+    elif shape == "near":
+        X[:, -1] = X[:, 0] + 10.0 ** -draw(st.integers(3, 11)) * rng.standard_normal(n)
+    y = X @ (rng.standard_normal(p) * (rng.random(p) < 0.5)) + rng.standard_normal(n)
+    if shape == "rounded":
+        y = np.round(y)
+    return standardize(X, y), M
+
+
+class TestOracleMatchesPlainEnumeration:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CORPUS))
+    def test_corpus(self, case):
+        X, y = ORACLE_CORPUS[case]()
+        prob = standardize(X, y)
+        for M in range(prob.p + 1):
+            assert_same_oracle(prob, M)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_oracle_problems())
+    def test_random_small_designs(self, case):
+        assert_same_oracle(*case)
+
+    def test_refits_only_contenders(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        X = rng.standard_normal((60, 30))
+        beta = np.zeros(30)
+        beta[[3, 11, 17, 26]] = 1.0
+        prob = standardize(X, X @ beta + rng.standard_normal(60))
+        calls = count_min_norm_calls(monkeypatch, core)
+        res = exhaustive_best_subset(prob, 4)
+        assert 1 <= len(calls) <= 5
+        assert tuple(res.coef.active) == (3, 11, 17, 26)
+
+    def test_duplicate_column_tie_goes_to_smallest_subset(self):
+        rng = np.random.default_rng(71)
+        X = rng.standard_normal((60, 30))
+        X[:, 11] = X[:, 10]
+        beta = np.zeros(30)
+        beta[[5, 10, 20, 25]] = 1.5
+        prob = standardize(X, X @ beta + rng.standard_normal(60))
+        np.testing.assert_array_equal(prob.X[:, 10], prob.X[:, 11])
+        res = exhaustive_best_subset(prob, 4)
+        assert tuple(res.coef.active) == (5, 10, 20, 25)
+        assert rss(prob, refit_subset(prob, [5, 11, 20, 25], 4)) == res.final_rss
+        assert_same_oracle(prob, 4)
+
+    @pytest.mark.parametrize("case", ["constant", "zero", "duplicated"])
+    def test_no_runtime_warning(self, case):
+        X, y, _ = _gaussian(72, n=12, p=6)
+        if case == "constant":
+            X[:, 2] = -3.0
+        elif case == "zero":
+            X[:, 2] = 0.0
+        else:
+            X[:, 4] = X[:, 1]
+        prob = standardize(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in range(prob.p + 1):
+                exhaustive_best_subset(prob, M)

@@ -14,20 +14,7 @@ from subsetscreen import (
     standardize,
 )
 
-from _support import orthogonal_design, random_problem
-
-
-def count_min_norm_calls(monkeypatch):
-    """Route the stepwise path's minimum-norm solver through a counter."""
-    calls = []
-    solver = initializers.min_norm_least_squares
-
-    def counted(A, y):
-        calls.append(A.shape[1])
-        return solver(A, y)
-
-    monkeypatch.setattr(initializers, "min_norm_least_squares", counted)
-    return calls
+from _support import count_min_norm_calls, orthogonal_design, random_problem
 
 
 def correlated_problem(seed, n=40, p=12, d=3, rho=0.6):
@@ -191,7 +178,7 @@ class TestForwardStepwise:
 
     def test_back_substitution_matches_min_norm_refit(self, monkeypatch):
         prob = correlated_problem(61, n=120, p=400, d=3)
-        calls = count_min_norm_calls(monkeypatch)
+        calls = count_min_norm_calls(monkeypatch, initializers)
         path = forward_stepwise(prob, 60)
         assert len(path.steps) == 60 and not path.truncated
         assert calls == []  # full rank throughout: every prefix is back-substituted
@@ -211,7 +198,7 @@ class TestForwardStepwise:
         X = np.hstack([base, base[:, [0]] + 1e-7 * e[:, None]])
         y = base @ np.array([1.0, -1.0, 0.5, 0.0, 0.0]) + 3.0 * e
         prob = standardize(X, y)
-        calls = count_min_norm_calls(monkeypatch)
+        calls = count_min_norm_calls(monkeypatch, initializers)
         path = forward_stepwise(prob, 6)
         added = [step.added for step in path.steps]
         late = max(added.index(0), added.index(5))
