@@ -9,7 +9,8 @@ The oracle works in two stages.  One depth-first modified Gram-Schmidt
 sweep over lexicographic prefixes scores all C(p, M) subsets, each score
 with an error allowance that grows as the sweep's pivots on that subset
 shrink; then only the subsets that could still be the minimum are refit
-exactly by minimum-norm least squares, so the answer is the one a
+exactly by minimum-norm least squares.  The allowance is an empirical
+margin, not a proven bound: where it holds, the answer is the one a
 separate refit of every subset gives.
 """
 
@@ -53,10 +54,12 @@ ENUMERATION_CAP = 2_000_000
 # (n + p) * eps * ||y||^2 / rho^2 of the RSS of its exact refit, rho being
 # the smallest relative pivot of the sweep on that subset.  Both are
 # backward-stable residual norms, whose rounding error is of order
-# (n + p) * eps * ||y||^2 times the subset's condition.  The largest gap
-# seen on random, duplicated, constant, near-collinear and integer
-# designs was 0.16 of that unit, so the factor leaves over three orders
-# of magnitude.
+# (n + p) * eps * ||y||^2 times the subset's condition.  1 / rho^2 stands
+# in for that condition without bounding it (a subset's smallest
+# singular value can sit far below its smallest pivot), so the margin is
+# empirical: the largest gap seen on random, duplicated, constant,
+# near-collinear, integer and Kahan-type designs was 0.16 of that unit,
+# and the factor leaves over three orders of magnitude.
 SCORE_SLACK = 1024.0
 
 # Entries below which a block of the oracle's last two levels is not split.
@@ -338,21 +341,20 @@ def exhaustive_best_subset(
        allowance proportional to ||y||^2 / rho^2, where rho is the
        smallest relative pivot on the subset's path; a column that keeps
        at most ``FACTOR_SOLVE_RTOL`` of its norm adds no direction and
-       makes the allowance infinite.
+       makes the allowance infinite; an all-zero column (a constant one
+       after standardizing) adds nothing and leaves rho unchanged.
     2. Only subsets whose score minus allowance is at or below the
        smallest score plus allowance are refit exactly, in lexicographic
        order, keeping the first strictly smallest RSS.  While the
-       allowances bound the rounding of both computations, every other
-       subset's refit is larger than the best one, so the winner, its
-       coefficients and its RSS are those of refitting every subset.
+       allowances bound the rounding of both computations (an empirical
+       margin, see ``SCORE_SLACK``), every other subset's refit is larger
+       than the best one, so the winner, its coefficients and its RSS are
+       those of refitting every subset.
 
-    Stage 1 is skipped, and every subset refit, when M >= n or when the
-    sweep would visit more prefix nodes than there are subsets (M near
-    p).  Otherwise all C(p, M) subsets are scored; nothing is pruned.
-    The sweep holds one work array of at most p x n entries per prefix
-    level (at most max(1, M - 1) of them) plus a few blocks of at most
-    max(n p, PAIR_BLOCK) entries each, and keeps only the near-best
-    scores.
+    All C(p, M) subsets are scored; nothing is pruned.  The sweep holds
+    one work array of at most p x n entries per prefix level (at most
+    max(1, M - 1) of them) plus a few blocks of at most max(n p,
+    PAIR_BLOCK) entries each, and keeps only the near-best scores.
 
     Raises ValueError when M is outside [0, p], and EnumerationCapError
     when the number of subsets exceeds ``cap``.
@@ -366,18 +368,10 @@ def exhaustive_best_subset(
             f"C({p}, {M}) = {total} subsets exceed the enumeration cap {cap}"
         )
     X, y = problem.X, problem.y
-    # The sweep visits C(p - 1, M - 2) prefix nodes.  When they outnumber
-    # the subsets, or when M >= n makes every subset rank-deficient (the
-    # centered columns span at most n - 1 dimensions), refitting every
-    # subset costs less than scoring them first.
-    if M >= problem.n or M * (M - 1) > p * (p - M + 1):
-        contenders = range(total)
-    else:
-        contenders = _contenders(X, y, M)
     best_rss = math.inf
     best_subset: tuple[int, ...] | None = None
     best_vals: np.ndarray | None = None
-    for index in contenders:
+    for index in _contenders(X, y, M):
         subset = _unrank_combination(int(index), p, M)
         idx = np.asarray(subset, dtype=int)
         vals = min_norm_least_squares(X[:, idx], y)
@@ -416,12 +410,15 @@ def _pivot_rows(Z: np.ndarray, norms: np.ndarray):
 
     A row that keeps at most FACTOR_SOLVE_RTOL of its original norm
     (``norms``) is dependent: its unit row is zero, so projecting it out
-    changes nothing, and its pivot is zero.
+    changes nothing, and its pivot is zero.  A row that was zero from the
+    start stays exactly zero, in the sweep and in a pivoted QR alike, so
+    it adds nothing to either and its pivot is one.
     """
     remaining = np.sqrt(np.einsum("...i,...i->...", Z, Z))
     keep = remaining > FACTOR_SOLVE_RTOL * norms
     inv = np.divide(1.0, remaining, out=np.zeros_like(remaining), where=keep)
-    rel = np.divide(remaining, norms, out=np.zeros_like(remaining), where=keep)
+    zero = np.broadcast_to(norms == 0.0, remaining.shape).astype(float)
+    rel = np.divide(remaining, norms, out=zero, where=keep)
     return Z * inv[..., None], rel * rel
 
 

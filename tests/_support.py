@@ -12,6 +12,7 @@ from subsetscreen.core import (
     EnumerationCapError,
     ScreeningResult,
     SparseCoef,
+    exhaustive_best_subset,
 )
 from subsetscreen.numerics import StandardizedProblem, min_norm_least_squares
 
@@ -141,3 +142,12 @@ def plain_best_subset(
         iterations=0,
         termination=TERM_CONVERGED,
     )
+
+
+def assert_same_oracle(problem, M):
+    """The swept oracle gives the plain enumerator's answer bit for bit."""
+    res = exhaustive_best_subset(problem, M)
+    ref = plain_best_subset(problem, M)
+    np.testing.assert_array_equal(res.coef.active, ref.coef.active)
+    assert res.coef.beta.tobytes() == ref.coef.beta.tobytes()
+    assert res.final_rss == ref.final_rss
