@@ -202,8 +202,12 @@ def foss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
     The refit on the thresholded active set gives an objective no larger
     than the plain step's, which in turn is no larger than the input's.
     """
-    phi = hard_threshold(_gradient_candidate(problem, coef), coef.bound)
-    return refit_subset(problem, np.flatnonzero(phi), coef.bound)
+    return refit_subset(problem, _thresholded_set(problem, coef), coef.bound)
+
+
+def _thresholded_set(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
+    """The set a refitting step from ``coef`` refits on."""
+    return np.flatnonzero(hard_threshold(_gradient_candidate(problem, coef), coef.bound))
 
 
 def refit_subset(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
@@ -228,9 +232,24 @@ def run(
     variant) an active set repeats, or at the iteration cap.  The
     returned coefficients are the lowest-objective iterate seen.
     """
+    update = oss_step if opts.algorithm == "oss" else foss_step
+
+    def step(coef, source):
+        coef = update(problem, coef)
+        return coef, rss(problem, coef), None
+
+    return _iterate(problem, init, M, opts, step)
+
+
+def _iterate(problem, init, M, opts, step) -> ScreeningResult:
+    """The loop of ``run``, over the step map ``step``.
+
+    ``step(coef, source)`` returns the next iterate, its objective and a
+    key for it that the next call receives as ``source`` (``None`` for
+    the starting point).
+    """
     if M < 1:
         raise ValueError("M must be at least 1")
-    step = oss_step if opts.algorithm == "oss" else foss_step
     max_iter = opts.resolved_max_iter()
     coef = SparseCoef.from_dense(init.beta, M)
     feasible_start = coef.active.size <= M
@@ -246,11 +265,11 @@ def run(
         best, best_rss = coef, r0
 
     visited: set[tuple[int, ...]] = set()
+    source = None
     iterations = 0
     termination = TERM_MAX_ITER
     for k in range(1, max_iter + 1):
-        coef = step(problem, coef)
-        cur = rss(problem, coef)
+        coef, cur, source = step(coef, source)
         trace.append(cur)
         iterations = k
         if cur < best_rss:
@@ -274,6 +293,33 @@ def run(
         iterations=iterations,
         termination=termination,
     )
+
+
+class _MemoizedRefitStep:
+    """The refitting step of one problem, memoized by the set it refits.
+
+    The refit on a set S, its objective and the set the next step from
+    that refit thresholds to depend on S alone, so each is computed once
+    per S.  A step from a point that is not such a refit (a restart's
+    starting point, ``source`` None) computes its set afresh.
+    """
+
+    def __init__(self, problem: StandardizedProblem):
+        self.problem = problem
+        self.refits: dict[tuple[int, ...], tuple[SparseCoef, float]] = {}
+        self.next_set: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def __call__(self, coef: SparseCoef, source):
+        target = self.next_set.get(source) if source is not None else None
+        if target is None:
+            target = tuple(_thresholded_set(self.problem, coef).tolist())
+            if source is not None:
+                self.next_set[source] = target
+        hit = self.refits.get(target)
+        if hit is None:
+            refit = refit_subset(self.problem, target, coef.bound)
+            hit = self.refits[target] = (refit, rss(self.problem, refit))
+        return hit[0], hit[1], target
 
 
 def multi_start_window(n: int, p: int, M: int) -> tuple[int, int]:
@@ -303,6 +349,12 @@ def multi_start_foss_fs(
     with the smallest final objective; exact ties go to the
     lexicographically smaller active set.  Deterministic given its
     inputs.
+
+    Neighbouring restarts tend to reach the same few active sets, so
+    within one call each set is refit once: the refit on a set, its
+    objective and the set the next step from it thresholds to are
+    memoized by that set (and freed on return).  The result is the one
+    separate ``run`` calls give, bit for bit.
     """
     if opts is None:
         opts = IterationOptions(algorithm="foss")
@@ -313,10 +365,11 @@ def multi_start_foss_fs(
     lo = min(lo, hi)
     if hi < 1:
         raise ValueError("stepwise path is empty")
+    step = _MemoizedRefitStep(problem)
     best = None
     best_key = None
     for size in range(lo, hi + 1):
-        result = run(problem, fs_path.coef_at(size), M, opts)
+        result = _iterate(problem, fs_path.coef_at(size), M, opts, step)
         key = (result.final_rss, tuple(int(j) for j in result.coef.active))
         if best_key is None or key < best_key:
             best, best_key = result, key

@@ -10,9 +10,12 @@ from subsetscreen.core import (
     ENUMERATION_CAP,
     TERM_CONVERGED,
     EnumerationCapError,
+    IterationOptions,
     ScreeningResult,
     SparseCoef,
     exhaustive_best_subset,
+    multi_start_window,
+    run,
 )
 from subsetscreen.numerics import StandardizedProblem, min_norm_least_squares
 
@@ -151,3 +154,29 @@ def assert_same_oracle(problem, M):
     np.testing.assert_array_equal(res.coef.active, ref.coef.active)
     assert res.coef.beta.tobytes() == ref.coef.beta.tobytes()
     assert res.final_rss == ref.final_rss
+
+
+def plain_multi_start(problem, M, fs_path, opts=None):
+    """Refitting driver restarted from a window of stepwise prefixes.
+
+    The restart loop that ``multi_start_foss_fs`` memoized, kept as its
+    reference: every restart is a separate ``run``, which refits every
+    active set it reaches.
+    """
+    if opts is None:
+        opts = IterationOptions(algorithm="foss")
+    elif opts.algorithm != "foss":
+        raise ValueError("multi-start restarts use the refitting algorithm")
+    lo, hi = multi_start_window(problem.n, problem.p, M)
+    hi = min(hi, len(fs_path.steps))
+    lo = min(lo, hi)
+    if hi < 1:
+        raise ValueError("stepwise path is empty")
+    best = None
+    best_key = None
+    for size in range(lo, hi + 1):
+        result = run(problem, fs_path.coef_at(size), M, opts)
+        key = (result.final_rss, tuple(int(j) for j in result.coef.active))
+        if best_key is None or key < best_key:
+            best, best_key = result, key
+    return best

@@ -20,7 +20,9 @@ from subsetscreen import (
     run,
     sis,
     forward_stepwise,
+    kronecker_design,
     standardize,
+    sylvester_hadamard,
 )
 from subsetscreen import core
 
@@ -28,6 +30,7 @@ from _support import (
     assert_same_oracle,
     count_min_norm_calls,
     orthogonal_design,
+    plain_multi_start,
     random_problem,
     unique_solution_problem,
 )
@@ -289,6 +292,63 @@ class TestMultiStart:
         path = forward_stepwise(prob, 3)
         with pytest.raises(ValueError):
             multi_start_foss_fs(prob, 3, path, IterationOptions("oss"))
+
+
+def _kronecker_problem(seed):
+    # 96 x 528: an order-8 Hadamard matrix times a random 12 x 66 +-1 base.
+    rng = np.random.default_rng(seed)
+    X = kronecker_design(sylvester_hadamard(8), rng.choice([-1.0, 1.0], size=(12, 66)))
+    beta = np.zeros(X.shape[1])
+    beta[:2] = 1.0
+    return standardize(X, X @ beta + 0.5 * rng.standard_normal(X.shape[0])), 10
+
+
+def _duplicated_problem(seed):
+    # Column 4 carries the weakest signal and appears three times (4, 18,
+    # 19); a restart that thresholds onto two copies refits a
+    # rank-deficient set.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((40, 18))
+    X = np.hstack([base, base[:, [4]], base[:, [4]]])
+    y = base[:, :5] @ np.array([3.0, -2.5, 2.0, 1.5, 1.0]) + rng.standard_normal(40)
+    return standardize(X, y), 6
+
+
+MULTI_START_CASES = {
+    "random": lambda: (random_problem(28, n=50, p=60, d=5), 6),
+    "duplicated": lambda: _duplicated_problem(30),
+    "kronecker": lambda: _kronecker_problem(30),
+}
+
+
+class TestMultiStartMatchesPlainRestarts:
+    @pytest.mark.parametrize("case", sorted(MULTI_START_CASES))
+    def test_bitwise_equal_and_each_set_refit_once(self, monkeypatch, case):
+        prob, M = MULTI_START_CASES[case]()
+        hi = multi_start_window(prob.n, prob.p, M)[1]
+        path = forward_stepwise(prob, hi)
+
+        refit_sets = []
+        refit = core.refit_subset
+
+        def recorded(problem, active, bound):
+            refit_sets.append(tuple(int(j) for j in active))
+            return refit(problem, active, bound)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "refit_subset", recorded)
+            ref = plain_multi_start(prob, M, path)
+        calls = count_min_norm_calls(monkeypatch, core)
+        res = multi_start_foss_fs(prob, M, path)
+
+        assert res.coef.beta.tobytes() == ref.coef.beta.tobytes()
+        assert res.rss_trace.tobytes() == ref.rss_trace.tobytes()
+        assert res.iterations == ref.iterations
+        assert res.termination == ref.termination
+        distinct = {s for s in refit_sets if s}
+        assert len(calls) == len(distinct) < len(refit_sets)
+        if case == "duplicated":
+            assert any(len({4, 18, 19} & set(s)) > 1 for s in distinct)
 
 
 class TestExhaustive:
