@@ -28,6 +28,12 @@ SPAN_RTOL2 = 1e-20
 # of roughly eps * n per step, far above SPAN_RTOL2.
 NORM_RECOMPUTE_RTOL2 = 1e-8
 
+# Stepwise scores within this relative distance of the largest one are
+# ties, and the smallest index among them is added.  Equal columns get
+# scores that differ only by rounding (a BLAS kernel may treat the same
+# column differently by its position), far less than this.
+TIE_RTOL = 1e-12
+
 # Back-substitution on the stepwise path's own triangular factor is used
 # only while every diagonal entry of that factor exceeds FACTOR_SOLVE_RTOL
 # times the largest one.  Selection admits a column down to a relative
@@ -132,81 +138,47 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
     """Exact greedy stepwise selection, recorded as a nested path.
 
     Each step adds the column giving the largest drop in the residual sum
-    of squares given the current set, computed exactly by residualizing
-    the remaining candidates against the selected span (ties toward the
-    smaller index).  If the candidates run out of numerical rank before
-    ``max_size`` the path truncates and is flagged.
+    of squares given the current set (ties toward the smaller index).
+    That drop is (x_j'r)^2 / ||z_j||^2, where r is the current residual
+    and z_j the part of x_j orthogonal to the selected span; r is itself
+    orthogonal to that span, so x_j'r needs no residualized copy of the
+    design, and ||z_j||^2 is downdated step by step (recomputed when it
+    shrinks by eight orders of magnitude).  If the candidates run out of
+    numerical rank before ``max_size`` the path truncates and is flagged.
 
-    Every prefix is recorded with its least-squares refit.  The modified
-    Gram-Schmidt sweep that residualizes the candidates is a QR
-    factorization of the selected columns in selection order, so the
-    path keeps its upper-triangular factor R and Q'y and solves each
-    prefix by one back-substitution on their leading block: O(k^2) for
-    the size-k prefix on top of the O(n p) sweep of the step itself,
-    instead of a fresh O(n k^2) pivoted QR.  From the first step whose
-    diagonal entry of R falls to ``FACTOR_SOLVE_RTOL`` times the largest
-    one or below, that prefix and every later one are refit by
-    ``min_norm_least_squares`` instead, so near-dependent prefixes keep
-    minimum-norm semantics.
+    Every prefix is recorded with its least-squares refit.  The sweep
+    builds a QR factorization of the selected columns in selection
+    order: each new basis vector is the chosen column minus its
+    projection on the basis so far, projected once more to keep the
+    basis orthogonal (classical Gram-Schmidt twice).  The path keeps the
+    upper-triangular factor R and Q'y and solves each prefix by one
+    back-substitution on their leading block: O(k^2) for the size-k
+    prefix on top of the O(n p) of the step itself, instead of a fresh
+    O(n k^2) pivoted QR.  From the first step whose diagonal entry of R
+    falls to ``FACTOR_SOLVE_RTOL`` times the largest one or below, that
+    prefix and every later one are refit by ``min_norm_least_squares``
+    instead, so near-dependent prefixes keep minimum-norm semantics.
     """
     n, p = problem.n, problem.p
     if not 1 <= max_size <= min(n - 1, p):
         raise ValueError("max_size must be in [1, min(n - 1, p)]")
 
-    Z = problem.X.copy()
-    norms2 = np.einsum("ij,ij->j", Z, Z)
-    residual = problem.y.copy()
-    selected = np.zeros(p, dtype=bool)
-    order: list[int] = []
-    # Row i holds q_i' Z from step i, so R[i, k] = W[i, order[k]].
-    W = np.empty((max_size, p))
-    R = np.zeros((max_size, max_size))
-    qty = np.empty(max_size)
-    factor_usable = True
+    order, _, R, qty, truncated = _greedy_factor(problem, max_size)
     steps: list[FsStep] = []
-    truncated = False
-    thresh = SPAN_RTOL2 * n
-
-    for k in range(max_size):
-        eligible = (~selected) & (norms2 > thresh)
-        if not eligible.any():
-            truncated = True
-            break
-        gains = Z.T @ residual
-        denom = np.where(eligible, norms2, 1.0)
-        scores = np.where(eligible, gains * gains / denom, -np.inf)
-        j = int(np.argmax(scores))
-
-        r_kk = np.linalg.norm(Z[:, j])
-        q = Z[:, j] / r_kk
-        w = q @ Z
-        W[k] = w
-        R[:k, k] = W[:k, j]
-        R[k, k] = r_kk
-        qty[k] = q @ residual
-        Z -= np.outer(q, w)
-        norms2 = np.maximum(norms2 - w * w, 0.0)
-        Z[:, j] = 0.0
-        norms2[j] = 0.0
-        residual -= q * qty[k]
-        selected[j] = True
-        stale = (~selected) & (norms2 < NORM_RECOMPUTE_RTOL2 * n)
-        if stale.any():
-            norms2[stale] = np.einsum("ij,ij->j", Z[:, stale], Z[:, stale])
-
-        order.append(j)
-        by_index = np.argsort(order)
-        active = np.asarray(order)[by_index]
+    factor_usable = True
+    for k in range(len(order)):
+        by_index = np.argsort(order[: k + 1])
+        active = np.asarray(order[: k + 1])[by_index]
         # Every column has norm sqrt(n) and residualizing only shrinks it,
         # so the first diagonal entry is the largest.
-        factor_usable = factor_usable and r_kk > FACTOR_SOLVE_RTOL * R[0, 0]
+        factor_usable = factor_usable and R[k, k] > FACTOR_SOLVE_RTOL * R[0, 0]
         if factor_usable:
             values = solve_triangular(R[: k + 1, : k + 1], qty[: k + 1])[by_index]
         else:
             values = min_norm_least_squares(problem.X[:, active], problem.y)
         steps.append(
             FsStep(
-                added=j,
+                added=order[k],
                 active=tuple(int(i) for i in active),
                 coef=values,
                 rss=rss(problem, _prefix_coef(p, active, values, k + 1)),
@@ -214,3 +186,59 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
         )
 
     return FsPath(steps=tuple(steps), max_size=max_size, truncated=truncated, p=p)
+
+
+def _greedy_factor(problem: StandardizedProblem, max_size: int):
+    """The greedy column order and the QR factor of the chosen columns.
+
+    Returns ``(order, Q, R, qty, truncated)`` with X[:, order] = Q R, Q
+    orthonormal (n x k), R upper-triangular (k x k) and qty = Q'y, where
+    k = len(order) is ``max_size`` unless the path truncated.
+    """
+    X = problem.X
+    n, p = X.shape
+    norms2 = np.einsum("ij,ij->j", X, X)
+    thresh = SPAN_RTOL2 * n
+    # Unselected columns still outside the selected span.  A column that
+    # falls inside it stays inside as the span grows.
+    candidate = norms2 > thresh
+    residual = problem.y.copy()
+    order: list[int] = []
+    Q = np.empty((n, max_size))
+    # Row i holds q_i' X, the first-pass projection coefficients.
+    W = np.empty((max_size, p))
+    R = np.zeros((max_size, max_size))
+    qty = np.empty(max_size)
+
+    for k in range(max_size):
+        if not candidate.any():
+            return order, Q[:, :k], R[:k, :k], qty[:k], True
+        gains = X.T @ residual
+        denom = np.where(candidate, norms2, 1.0)
+        scores = np.where(candidate, gains * gains / denom, -np.inf)
+        j = int(np.argmax(scores >= scores.max() * (1.0 - TIE_RTOL)))
+
+        basis = Q[:, :k]
+        z = X[:, j] - basis @ W[:k, j]
+        again = basis.T @ z
+        z -= basis @ again
+        r_kk = np.linalg.norm(z)
+        q = z / r_kk
+        w = q @ X
+        Q[:, k] = q
+        W[k] = w
+        R[:k, k] = W[:k, j] + again
+        R[k, k] = r_kk
+        qty[k] = q @ residual
+        residual -= q * qty[k]
+        order.append(j)
+
+        norms2 = np.maximum(norms2 - w * w, 0.0)
+        candidate[j] = False
+        stale = candidate & (norms2 < NORM_RECOMPUTE_RTOL2 * n)
+        if stale.any():
+            E = X[:, stale] - Q[:, : k + 1] @ W[: k + 1, stale]
+            norms2[stale] = np.einsum("ij,ij->j", E, E)
+            candidate[stale] = norms2[stale] > thresh
+
+    return order, Q, R, qty, False

@@ -212,6 +212,65 @@ class TestForwardStepwise:
             np.testing.assert_array_equal(path.coef_at(k).beta, refit.beta)
 
 
+def near_collinear_problem(seed, n=40, p=16, scale=1e-3):
+    # The last p/2 columns are the first p/2 plus a small perturbation.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, p // 2))
+    X = np.hstack([base, base + scale * rng.standard_normal((n, p // 2))])
+    y = base[:, :3] @ np.array([2.0, -1.5, 1.0]) + 0.5 * rng.standard_normal(n)
+    return standardize(X, y)
+
+
+GREEDY_CASES = {
+    "random": lambda seed: random_problem(seed, n=40, p=15, d=4),
+    "correlated": lambda seed: correlated_problem(seed, n=40, p=15, d=4, rho=0.9),
+    "near-collinear": lambda seed: near_collinear_problem(seed),
+}
+
+
+class TestStepwiseIsExactlyGreedy:
+    """Checks of the path against separate minimum-norm refits."""
+
+    @pytest.mark.parametrize("case", sorted(GREEDY_CASES))
+    @pytest.mark.parametrize("seed", [62, 63, 64])
+    def test_each_step_adds_the_best_column(self, case, seed):
+        prob = GREEDY_CASES[case](seed)
+        path = forward_stepwise(prob, 12)
+        chosen: list[int] = []
+        for step in path.steps:
+            refits = {
+                j: rss(prob, refit_subset(prob, chosen + [j], len(chosen) + 1))
+                for j in range(prob.p)
+                if j not in chosen
+            }
+            assert refits[step.added] <= min(refits.values()) * (1 + 1e-12)
+            chosen.append(step.added)
+
+    def test_duplicate_column_tie_goes_to_smaller_index(self):
+        rng = np.random.default_rng(65)
+        X = rng.standard_normal((40, 10))
+        X[:, 8] = X[:, 3]
+        y = X[:, :4] @ np.array([3.0, -2.5, 2.0, 1.0]) + 0.3 * rng.standard_normal(40)
+        prob = standardize(X, y)
+        assert prob.X[:, 8].tobytes() == prob.X[:, 3].tobytes()
+        path = forward_stepwise(prob, 6)
+        added = [step.added for step in path.steps]
+        assert 3 in added and 8 not in added
+
+    @pytest.mark.parametrize("case", ["correlated", "near-collinear"])
+    def test_basis_stays_orthonormal(self, case):
+        if case == "correlated":
+            prob = correlated_problem(66, n=120, p=400, d=3, rho=0.9)
+        else:
+            prob = near_collinear_problem(66, n=120, p=160, scale=1e-4)
+        order, Q, R, qty, truncated = initializers._greedy_factor(prob, 60)
+        assert len(order) == 60 and not truncated
+        assert np.linalg.norm(Q.T @ Q - np.eye(60)) <= 1e-12
+        scale = np.sqrt(prob.n)
+        np.testing.assert_allclose(Q @ R, prob.X[:, order], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(qty, Q.T @ prob.y, rtol=0, atol=1e-12 * np.linalg.norm(prob.y))
+
+
 class TestImprovementWorkflow:
     def test_refit_driver_never_hurts_an_initializer(self):
         for seed in range(10):
