@@ -57,6 +57,7 @@ from .numerics import (
 from .simgen import (
     GenerativeModel,
     TrueModel,
+    TwoLevelWarning,
     child_stream,
     gen_equicorrelated_design,
     gen_response,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,6 +31,7 @@ from .initializers import forward_stepwise, isis, sis
 from .numerics import StandardizedProblem, standardize
 from .simgen import (
     GenerativeModel,
+    TwoLevelWarning,
     child_stream,
     gen_equicorrelated_design,
     gen_response,
@@ -249,8 +251,11 @@ def _design_matrix(config: ExperimentConfig, rep_index: int) -> np.ndarray:
             config.model.n, config.model.p, config.model.rho, stream
         )
     if design.kind == "kronecker":
-        base = load_base_design(design.base_design_path)
-        return kronecker_design(sylvester_hadamard(design.hadamard_order), base)
+        # config_from_dict read this file and warned about its entries.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TwoLevelWarning)
+            base = load_base_design(design.base_design_path)
+            return kronecker_design(sylvester_hadamard(design.hadamard_order), base)
     raise ConfigError("design.kind", f"unknown design kind {design.kind!r}")
 
 

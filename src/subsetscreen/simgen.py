@@ -10,6 +10,7 @@ run in any order or thread without changing output.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -25,7 +26,12 @@ __all__ = [
     "sylvester_hadamard",
     "kronecker_design",
     "load_base_design",
+    "TwoLevelWarning",
 ]
+
+
+class TwoLevelWarning(UserWarning):
+    """A base design has entries other than +-1."""
 
 
 def child_stream(master_seed: int, rep_index: int, tag: str) -> np.random.Generator:
@@ -148,21 +154,29 @@ def kronecker_design(H, D) -> np.ndarray:
     if D.ndim != 2:
         raise ValueError("D must be 2-D")
     if not np.all(np.abs(D) == 1.0):
-        warnings.warn("base design has entries other than +-1", stacklevel=2)
+        warnings.warn("base design has entries other than +-1", TwoLevelWarning, stacklevel=2)
     return np.kron(H, D)
 
 
 def load_base_design(path) -> np.ndarray:
-    """Read a two-level base design from a headerless CSV of +-1 entries."""
+    """Read a two-level base design from a headerless CSV of +-1 entries.
+
+    Raises ValueError naming the file and line of a cell that is not a
+    number or not finite; warns (``TwoLevelWarning``) when some finite
+    entry is not +-1.
+    """
     rows = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or not any(cell.strip() for cell in row):
                 continue
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{lineno}: non-finite entry")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -170,5 +184,5 @@ def load_base_design(path) -> np.ndarray:
         raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
     D = np.asarray(rows)
     if not np.all(np.abs(D) == 1.0):
-        warnings.warn(f"{path}: entries other than +-1 present", stacklevel=2)
+        warnings.warn(f"{path}: entries other than +-1 present", TwoLevelWarning, stacklevel=2)
     return D

@@ -204,7 +204,8 @@ class TestSimulate:
         }
         raw.update(overrides)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
+        # An override of None drops the key.
+        path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
         return str(path)
 
     def test_minimal_run_writes_one_row_per_method(self, tmp_path):
@@ -269,6 +270,33 @@ class TestSimulate:
             assert main(["simulate", config, "--out", str(out)]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "X @ beta overflowed; beta_value=1e+308" in capsys.readouterr().err
+
+    def kronecker_config(self, tmp_path, base_rows):
+        base = tmp_path / "base.csv"
+        base.write_text("".join(row + "\n" for row in base_rows))
+        return self.base_config(
+            tmp_path, n=None, p=None, rho=None, d=1, beta_value=1.0, M=2,
+            repetitions=3, methods=["sis", "fs"],
+            design={"kind": "kronecker", "base_design_path": str(base), "hadamard_order": 2},
+        )
+
+    def test_nonfinite_base_design_names_the_file(self, tmp_path, capsys):
+        config = self.kronecker_config(tmp_path, ["1,-1,1", "1,nan,-1", "-1,1,1", "-1,-1,-1"])
+        out = tmp_path / "run"
+        assert main(["simulate", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "design.base_design_path" in err
+        assert "base.csv:2: non-finite entry" in err
+        assert "beta_value" not in err
+        assert not out.exists()
+
+    def test_non_two_level_base_design_warns_once(self, tmp_path):
+        config = self.kronecker_config(tmp_path, ["1,-1,1", "1,0.5,-1", "-1,1,1", "-1,-1,-1"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", config, "--out", str(tmp_path / "run")]) == 0
+        messages = [str(w.message) for w in caught]
+        assert sum("other than +-1" in m for m in messages) == 1, messages
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_exits_2(self, tmp_path, workers):

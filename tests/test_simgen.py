@@ -173,6 +173,13 @@ class TestBaseDesignFile:
         loaded = load_base_design(path)
         np.testing.assert_array_equal(loaded, D)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,1\n-1,{cell}\n")
+        with pytest.raises(ValueError, match="bad.csv:2: non-finite entry"):
+            load_base_design(path)
+
     def test_bad_cell_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,1\n1,x\n")
