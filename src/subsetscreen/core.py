@@ -310,7 +310,7 @@ class _MemoizedRefitStep:
         self.next_set: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __call__(self, coef: SparseCoef, source):
-        target = self.next_set.get(source) if source is not None else None
+        target = self.next_set.get(source)
         if target is None:
             target = tuple(_thresholded_set(self.problem, coef).tolist())
             if source is not None:
