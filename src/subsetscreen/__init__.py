@@ -49,9 +49,12 @@ from .experiments import (
 )
 from .initializers import FsPath, FsStep, forward_stepwise, isis, sis
 from .numerics import (
+    PreparedDesign,
     StandardizedProblem,
+    bind,
     min_norm_least_squares,
     power_method_lambda_max,
+    prepare_design,
     standardize,
 )
 from .simgen import (

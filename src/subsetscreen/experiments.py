@@ -14,7 +14,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import (
     run,
 )
 from .initializers import forward_stepwise, isis, sis
-from .numerics import StandardizedProblem, standardize
+from .numerics import PreparedDesign, StandardizedProblem, bind, prepare_design
 from .simgen import (
     GenerativeModel,
     TwoLevelWarning,
@@ -243,20 +243,39 @@ def run_method(
     )[method]
 
 
-def _design_matrix(config: ExperimentConfig, rep_index: int) -> np.ndarray:
+def _design(config: ExperimentConfig, rep_index: int) -> tuple[np.ndarray, PreparedDesign]:
+    """The raw design matrix of one repetition and its prepared form."""
     design = config.design
     if design.kind == "equicorrelated":
         stream = child_stream(config.seed, rep_index, "design")
-        return gen_equicorrelated_design(
+        X = gen_equicorrelated_design(
             config.model.n, config.model.p, config.model.rho, stream
         )
+        return X, prepare_design(X)
     if design.kind == "kronecker":
-        # config_from_dict read this file and warned about its entries.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TwoLevelWarning)
-            base = load_base_design(design.base_design_path)
-            return kronecker_design(sylvester_hadamard(design.hadamard_order), base)
+        import hashlib  # here, not at module level: it is not needed to start up
+
+        with open(design.base_design_path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        return _fixed_design(design.base_design_path, digest, design.hadamard_order)
     raise ConfigError("design.kind", f"unknown design kind {design.kind!r}")
+
+
+@lru_cache(maxsize=4)
+def _fixed_design(path: str, digest: str, order: int) -> tuple[np.ndarray, PreparedDesign]:
+    """Build a Kronecker design once per process and file content.
+
+    ``digest`` (of the file bytes) is part of the key, so a rewritten
+    base file is read again.  Every array returned is read-only, because
+    every repetition on the design shares it.
+    """
+    # config_from_dict read this file and warned about its entries.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TwoLevelWarning)
+        base = load_base_design(path)
+        X = kronecker_design(sylvester_hadamard(order), base)
+    X.setflags(write=False)
+    return X, prepare_design(X)
 
 
 def evaluate_repetition(
@@ -266,13 +285,14 @@ def evaluate_repetition(
 
     The design and the noise come from separate child streams of the
     master seed, so the same repetition index always reproduces the same
-    data regardless of scheduling.
+    data regardless of scheduling.  A fixed (Kronecker) design is read and
+    prepared once per process and reused by every repetition on it.
     """
-    X = _design_matrix(config, rep_index)
+    X, design = _design(config, rep_index)
     y = gen_response(
         X, config.model.true_model(), child_stream(config.seed, rep_index, "response")
     )
-    problem = standardize(X, y)
+    problem = bind(design, y)
     return _repetition_methods(
         problem,
         config.methods,

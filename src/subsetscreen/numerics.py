@@ -16,7 +16,10 @@ import numpy as np
 from scipy.linalg import qr, solve_triangular
 
 __all__ = [
+    "PreparedDesign",
     "StandardizedProblem",
+    "bind",
+    "prepare_design",
     "standardize",
     "power_method_lambda_max",
     "min_norm_least_squares",
@@ -84,14 +87,146 @@ class StandardizedProblem:
         return self.X.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedDesign:
+    """A standardized design matrix with everything that depends on X alone.
+
+    Built once by :func:`prepare_design` and shared, read-only, by every
+    response :func:`bind` attaches to it.
+
+    Attributes
+    ----------
+    X : ndarray, shape (n, p)
+        Zero-mean columns scaled so each column's sum of squares equals
+        n; flagged degenerate columns are identically zero.
+    col_means, col_scales : ndarray, shape (p,)
+        Column means and scale divisors of the raw data (scale 1 for
+        degenerate columns).
+    degenerate : ndarray of bool, shape (p,)
+        Marks constant (zero-variance) input columns.
+    c : float
+        Spectral constant, at least as large as lambda_max(X'X).
+    """
+
+    X: np.ndarray
+    col_means: np.ndarray
+    col_scales: np.ndarray
+    degenerate: np.ndarray
+    c: float
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.X.shape[1]
+
+
+def prepare_design(X_raw) -> PreparedDesign:
+    """Center and rescale a design matrix and compute its spectral constant.
+
+    Columns are centered and scaled so each column's sum of squares
+    equals the number of rows.  Constant columns are kept (scale 1,
+    zeroed out) and flagged so downstream solvers skip them.  The
+    returned arrays are read-only, so one design can back any number of
+    problems.
+
+    Parameters
+    ----------
+    X_raw : array_like, shape (n, p)
+
+    Returns
+    -------
+    PreparedDesign
+
+    Raises
+    ------
+    ValueError
+        When X is not 2-D, has fewer than two rows or no column, or holds
+        a non-finite entry.
+    """
+    X_raw = np.asarray(X_raw, dtype=float)
+    if X_raw.ndim != 2:
+        raise ValueError("X must be a 2-D array")
+    n, p = X_raw.shape
+    if n < 2:
+        raise ValueError("need at least two rows to standardize")
+    if p < 1:
+        raise ValueError("X must have at least one column")
+    if not np.all(np.isfinite(X_raw)):
+        raise ValueError("X contains non-finite entries")
+
+    col_means = X_raw.mean(axis=0)
+    Xc = X_raw - col_means
+    col_sd = np.sqrt(np.einsum("ij,ij->j", Xc, Xc) / n)
+    degenerate = col_sd <= 1e-12 * np.maximum(1.0, np.abs(col_means))
+    col_scales = np.where(degenerate, 1.0, col_sd)
+    X = Xc / col_scales
+    if degenerate.any():
+        X[:, degenerate] = 0.0
+
+    lam = power_method_lambda_max(X)
+    c = (1.0 + SPECTRAL_INFLATION) * lam if lam > 0.0 else 1.0
+    for array in (X, col_means, col_scales, degenerate):
+        array.setflags(write=False)
+    return PreparedDesign(
+        X=X, col_means=col_means, col_scales=col_scales, degenerate=degenerate, c=c
+    )
+
+
+def bind(design: PreparedDesign, y_raw) -> StandardizedProblem:
+    """Attach a response to a prepared design.
+
+    Centers ``y_raw`` and caches X'y; the design's arrays are shared, not
+    copied.
+
+    Parameters
+    ----------
+    design : PreparedDesign
+    y_raw : array_like, shape (n,)
+
+    Returns
+    -------
+    StandardizedProblem
+
+    Raises
+    ------
+    ValueError
+        When y does not have one entry per row of X, or holds a
+        non-finite entry.
+    """
+    y_raw = np.asarray(y_raw, dtype=float).reshape(-1)
+    if y_raw.shape[0] != design.n:
+        raise ValueError(
+            f"shape mismatch: X has {design.n} rows, y has {y_raw.shape[0]} entries"
+        )
+    if not np.all(np.isfinite(y_raw)):
+        raise ValueError("y contains non-finite entries")
+    y_mean = float(y_raw.mean())
+    y = y_raw - y_mean
+    return StandardizedProblem(
+        X=design.X,
+        y=y,
+        xty=design.X.T @ y,
+        c=design.c,
+        col_means=design.col_means,
+        col_scales=design.col_scales,
+        y_mean=y_mean,
+        degenerate=design.degenerate,
+    )
+
+
 def standardize(X_raw, y_raw) -> StandardizedProblem:
-    """Center and rescale a regression problem.
+    """Center and rescale a regression problem: ``bind(prepare_design(X_raw), y_raw)``.
 
     Columns of ``X_raw`` are centered and scaled so each column's sum of
     squares equals the number of rows; ``y_raw`` is centered.  Constant
     columns are kept (scale 1, zeroed out) and flagged so downstream
     solvers skip them.  The returned problem carries X'y and a spectral
-    constant slightly above lambda_max(X'X).
+    constant slightly above lambda_max(X'X); its design arrays are
+    read-only.  To solve several responses on one design, call
+    :func:`prepare_design` once and :func:`bind` per response.
 
     Parameters
     ----------
@@ -107,48 +242,7 @@ def standardize(X_raw, y_raw) -> StandardizedProblem:
     ValueError
         On dimension mismatch, fewer than two rows, or non-finite input.
     """
-    X_raw = np.asarray(X_raw, dtype=float)
-    y_raw = np.asarray(y_raw, dtype=float).reshape(-1)
-    if X_raw.ndim != 2:
-        raise ValueError("X must be a 2-D array")
-    n, p = X_raw.shape
-    if n < 2:
-        raise ValueError("need at least two rows to standardize")
-    if p < 1:
-        raise ValueError("X must have at least one column")
-    if y_raw.shape[0] != n:
-        raise ValueError(
-            f"shape mismatch: X has {n} rows, y has {y_raw.shape[0]} entries"
-        )
-    if not np.all(np.isfinite(X_raw)):
-        raise ValueError("X contains non-finite entries")
-    if not np.all(np.isfinite(y_raw)):
-        raise ValueError("y contains non-finite entries")
-
-    col_means = X_raw.mean(axis=0)
-    Xc = X_raw - col_means
-    col_sd = np.sqrt(np.einsum("ij,ij->j", Xc, Xc) / n)
-    degenerate = col_sd <= 1e-12 * np.maximum(1.0, np.abs(col_means))
-    col_scales = np.where(degenerate, 1.0, col_sd)
-    X = Xc / col_scales
-    if degenerate.any():
-        X[:, degenerate] = 0.0
-
-    y_mean = float(y_raw.mean())
-    y = y_raw - y_mean
-
-    lam = power_method_lambda_max(X)
-    c = (1.0 + SPECTRAL_INFLATION) * lam if lam > 0.0 else 1.0
-    return StandardizedProblem(
-        X=X,
-        y=y,
-        xty=X.T @ y,
-        c=c,
-        col_means=col_means,
-        col_scales=col_scales,
-        y_mean=y_mean,
-        degenerate=degenerate,
-    )
+    return bind(prepare_design(X_raw), y_raw)
 
 
 def power_method_lambda_max(X, rel_tol: float = 1e-12, max_iter: int = 100_000) -> float:
