@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -76,7 +77,43 @@ def _is_numeric_row(row) -> bool:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a numeric CSV matrix; a non-numeric first row is a header."""
+    """Read a numeric CSV matrix; a non-numeric first row is a header.
+
+    Blank rows are skipped.  Files of plain numbers with a consistent
+    width go through ``np.loadtxt``; anything it does not read (quoted
+    cells, ragged rows, a cell that is not a number, an unreadable file)
+    falls back to a row-by-row parser that reads the same values and
+    raises ``InputFileError`` naming the path and line of the problem.
+    """
+    fast = _read_matrix_fast(path)
+    return fast if fast is not None else _read_matrix_rows(path)
+
+
+def _read_matrix_fast(path) -> np.ndarray | None:
+    """``np.loadtxt`` after the same header decision; None on any failure."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next(
+                (row for row in reader if row and any(cell.strip() for cell in row)),
+                None,
+            )
+            skip = reader.line_num
+        if first is None:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on input without data
+            data = np.loadtxt(
+                path, delimiter=",", ndmin=2, comments=None, dtype=float,
+                skiprows=0 if _is_numeric_row(first) else skip,
+            )
+    except (OSError, ValueError, csv.Error, UserWarning):
+        return None
+    return np.ascontiguousarray(data) if data.size else None
+
+
+def _read_matrix_rows(path) -> np.ndarray:
+    """The row-by-row reader behind ``read_matrix_csv``."""
     rows = _read_rows(path)
     if not _is_numeric_row(rows[0][1]):
         rows = rows[1:]

@@ -12,7 +12,8 @@ from subsetscreen import (
     gen_response,
     standardize,
 )
-from subsetscreen.cli import main
+from subsetscreen.cli import InputFileError, main, read_matrix_csv
+from subsetscreen.cli import _read_matrix_fast, _read_matrix_rows
 
 from _support import orthogonal_design
 
@@ -28,6 +29,89 @@ def write_xy(tmp_path, X, y, header=False):
         np.savetxt(x_path, X, delimiter=",")
     np.savetxt(y_path, y[:, None], delimiter=",")
     return str(x_path), str(y_path)
+
+
+# (name, file text, whether np.loadtxt reads it rather than the row parser)
+READABLE_CSV = [
+    ("header", "a,b,c\n1,2,3\n4,5,6\n", True),
+    ("blank_lines", "\n1,2\n\n3,4\n\n", True),
+    ("blank_lines_before_header", "\n\nx,y\n\n1,2\n3,4\n", True),
+    ("crlf", "a,b\r\n1,2\r\n3,4\r\n", True),
+    ("padded_cells", " 1 ,\t2\n  3,4  \n", True),
+    ("nan_inf", "nan,-nan,NaN\ninf,-inf,Infinity\n", True),
+    ("exponents", "1e-300,2.5E+10,-3e400\n.5,1.,+0\n", True),
+    ("single_row", "0.1,0.2,0.3\n", True),
+    ("single_column", "v\n0.1\n0.2\n0.3\n", True),
+    ("single_cell", "7\n", True),
+    ("round_trip_digits", "0.10000000000000001,3.141592653589793\n2.2250738585072014e-308,5e-324\n", True),
+    ("underscores", "1_000,2\n3,4_5.5\n", False),
+    ("hash_cell_is_a_header", "#,b\n1,2\n", True),
+    ("quoted_cells", '"1","2"\n3,"4"\n', False),
+    ("quoted_header", '"a,1",b\n1,2\n', True),
+    ("whitespace_only_row", "1,2\n , \n3,4\n", False),
+]
+
+MALFORMED_CSV = [
+    ("ragged", "1,2\n3,4,5\n"),
+    ("short_row", "1,2,3\n4,5\n"),
+    ("word", "1,2\n3,oops\n"),
+    ("empty_cell", "1,2\n3,\n"),
+    ("hash_in_data", "1,2\n3,#\n"),
+    ("header_only", "a,b\n\n"),
+    ("empty", ""),
+    ("blank_only", "\n \n"),
+]
+
+
+class TestReadMatrixCsv:
+    """The np.loadtxt path must read exactly what the row parser reads."""
+
+    @pytest.mark.parametrize(
+        "text, fast", [c[1:] for c in READABLE_CSV], ids=[c[0] for c in READABLE_CSV]
+    )
+    def test_fast_path_matches_row_parser_bit_for_bit(self, tmp_path, text, fast):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        expected = _read_matrix_rows(path)
+        got = read_matrix_csv(path)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.shape == expected.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        assert (_read_matrix_fast(path) is not None) == fast
+
+    def test_fast_path_reads_a_large_file(self, tmp_path):
+        rng = np.random.default_rng(73)
+        X = rng.standard_normal((50, 40)) * 10.0 ** rng.integers(-5, 5, size=(50, 40))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, X, delimiter=",", fmt="%.17g")
+        fast = _read_matrix_fast(path)
+        assert fast is not None
+        assert fast.tobytes() == _read_matrix_rows(path).tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize(
+        "text", [c[1] for c in MALFORMED_CSV], ids=[c[0] for c in MALFORMED_CSV]
+    )
+    def test_malformed_file_fails_like_the_row_parser(self, tmp_path, capsys, text):
+        x_path = tmp_path / "x.csv"
+        x_path.write_bytes(text.encode())
+        y_path = tmp_path / "y.csv"
+        y_path.write_text("1\n2\n")
+        with pytest.raises(InputFileError) as expected:
+            _read_matrix_rows(x_path)
+        with pytest.raises(InputFileError) as got:
+            read_matrix_csv(x_path)
+        assert str(got.value) == str(expected.value)
+        assert main(["screen", str(x_path), str(y_path)]) == 2
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    def test_missing_file_fails_like_the_row_parser(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(InputFileError) as expected:
+            _read_matrix_rows(path)
+        with pytest.raises(InputFileError) as got:
+            read_matrix_csv(path)
+        assert str(got.value) == str(expected.value)
 
 
 class TestScreen:
