@@ -52,6 +52,7 @@ from .numerics import (
     PreparedDesign,
     StandardizedProblem,
     bind,
+    lanczos_lambda_max,
     min_norm_least_squares,
     power_method_lambda_max,
     prepare_design,

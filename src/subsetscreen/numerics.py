@@ -1,8 +1,10 @@
 """Dense linear-algebra primitives shared by the subset-search modules.
 
 Everything here is a pure function: standardization of a regression
-problem into the centered, equal-column-norm convention, a deterministic
-power iteration for the largest eigenvalue of X'X, and minimum-norm
+problem into the centered, equal-column-norm convention (split into the
+design-only part, ``prepare_design``, and the response part, ``bind``),
+the largest eigenvalue of X'X by Lanczos from a fixed random start (and
+by the older power iteration, kept for comparison), and minimum-norm
 least squares built on rank-revealing QR.
 """
 
@@ -13,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import eigh_tridiagonal, qr, solve_triangular
 
 __all__ = [
     "PreparedDesign",
@@ -21,14 +23,22 @@ __all__ = [
     "bind",
     "prepare_design",
     "standardize",
+    "lanczos_lambda_max",
     "power_method_lambda_max",
     "min_norm_least_squares",
 ]
 
-# Relative inflation of the power-iteration estimate: thresholded gradient
-# steps stay monotone only when the stored constant dominates lambda_max,
-# and power iteration approaches it from below.
+# Relative inflation of the Lanczos estimate: thresholded gradient steps
+# stay monotone only when the stored constant dominates lambda_max, and
+# Ritz values approach it from below.
 SPECTRAL_INFLATION = 1e-8
+
+# Lanczos stops once the residual bound of its largest Ritz value is at
+# most this fraction of the value.
+LANCZOS_RTOL = 1e-13
+
+# Initial number of Lanczos basis vectors; the basis doubles as needed.
+LANCZOS_BLOCK = 32
 
 # R diagonals below this fraction of the largest one mark dependent columns.
 RANK_RTOL = 1e-10
@@ -166,7 +176,7 @@ def prepare_design(X_raw) -> PreparedDesign:
     if degenerate.any():
         X[:, degenerate] = 0.0
 
-    lam = power_method_lambda_max(X)
+    lam = lanczos_lambda_max(X)
     c = (1.0 + SPECTRAL_INFLATION) * lam if lam > 0.0 else 1.0
     for array in (X, col_means, col_scales, degenerate):
         array.setflags(write=False)
@@ -245,6 +255,62 @@ def standardize(X_raw, y_raw) -> StandardizedProblem:
     return bind(prepare_design(X_raw), y_raw)
 
 
+def lanczos_lambda_max(X) -> float:
+    """Largest eigenvalue of X'X by Lanczos from a fixed random start.
+
+    Works on the smaller of XX' and X'X, which share their nonzero
+    eigenvalues, applied as two matrix-vector products with X; the Gram
+    matrix is never formed.  The start is a seeded Gaussian vector, so
+    the result is deterministic, and it is orthogonal to the top
+    eigenvector with probability zero (the all-ones start of
+    :func:`power_method_lambda_max` can be).  Each new basis vector is
+    orthogonalized against the whole basis twice (classical
+    Gram-Schmidt).  Iteration stops when the residual bound
+    beta_k |s_k| of the largest Ritz value theta falls to
+    ``LANCZOS_RTOL`` * theta, or after min(n, p) steps, when the Krylov
+    space is the whole space.  Returns 0.0 for an all-zero X.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise ValueError("X must be a non-empty 2-D array")
+    n, p = X.shape
+    m = min(n, p)
+    if n <= p:
+        def apply(v):
+            return X @ (X.T @ v)
+    else:
+        def apply(v):
+            return X.T @ (X @ v)
+
+    basis = np.empty((m, min(m, LANCZOS_BLOCK)))
+    alpha: list[float] = []
+    beta: list[float] = []
+    q = _random_start(m)
+    for k in range(m):
+        if k == basis.shape[1]:
+            grown = np.empty((m, min(m, 2 * k)))
+            grown[:, :k] = basis
+            basis = grown
+        basis[:, k] = q
+        Q = basis[:, : k + 1]
+        w = apply(q)
+        h = Q.T @ w
+        w -= Q @ h
+        h2 = Q.T @ w
+        w -= Q @ h2
+        alpha.append(float(h[k] + h2[k]))
+        b = float(np.linalg.norm(w))
+        theta, s = eigh_tridiagonal(
+            alpha, beta, select="i", select_range=(k, k), check_finite=False
+        )
+        theta = float(theta[0])
+        if b * abs(float(s[-1, 0])) <= LANCZOS_RTOL * abs(theta) or k == m - 1:
+            break
+        beta.append(b)
+        q = w / b
+    return theta
+
+
 def power_method_lambda_max(X, rel_tol: float = 1e-12, max_iter: int = 100_000) -> float:
     """Largest eigenvalue of X'X by power iteration.
 
@@ -269,7 +335,7 @@ def power_method_lambda_max(X, rel_tol: float = 1e-12, max_iter: int = 100_000) 
         if norm_w == 0.0:
             if restarted:
                 return 0.0  # X'X annihilates both starts: zero spectrum
-            v = _fallback_start(p)
+            v = _random_start(p)
             restarted = True
             lam_prev = None
             continue
@@ -286,7 +352,7 @@ def power_method_lambda_max(X, rel_tol: float = 1e-12, max_iter: int = 100_000) 
     return lam
 
 
-def _fallback_start(p: int) -> np.ndarray:
+def _random_start(p: int) -> np.ndarray:
     v = np.random.default_rng(987654321).standard_normal(p)
     return v / np.linalg.norm(v)
 

@@ -29,6 +29,7 @@ from subsetscreen import core
 from _support import (
     assert_same_oracle,
     count_min_norm_calls,
+    jacobi_max_eigenvalue,
     orthogonal_design,
     plain_multi_start,
     random_problem,
@@ -137,6 +138,20 @@ class TestSteps:
         resid = prob.y - prob.X @ refit.beta
         scale = np.linalg.norm(prob.y) * np.sqrt(prob.n)
         assert np.max(np.abs(prob.X[:, refit.active].T @ resid)) <= 1e-8 * scale
+
+    def test_spectral_constant_sees_a_direction_orthogonal_to_ones(self):
+        # Columns a, -a, a, -a, b, c of mutually orthogonal +-1 vectors:
+        # X'X has lambda_max = 32 along (1, -1, 1, -1, 0, 0), which is
+        # orthogonal to the all-ones vector, so power iteration from the
+        # ones vector settles on 8.  A constant below lambda_max lets one
+        # step from zero overshoot and raise the RSS from 8 to 72.
+        H = sylvester_hadamard(8)
+        a, b, c = H[:, 1], H[:, 2], H[:, 3]
+        X = np.column_stack([a, -a, a, -a, b, c])
+        prob = standardize(X, a)
+        assert prob.c >= jacobi_max_eigenvalue(prob.X.T @ prob.X)
+        zero = SparseCoef.zeros(6, 4)
+        assert rss(prob, oss_step(prob, zero)) <= rss(prob, zero)
 
     def test_degenerate_columns_never_selected(self):
         rng = np.random.default_rng(20)

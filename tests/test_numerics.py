@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from subsetscreen import (
+    bind,
+    kronecker_design,
+    lanczos_lambda_max,
     min_norm_least_squares,
     power_method_lambda_max,
+    prepare_design,
     standardize,
+    sylvester_hadamard,
 )
 
 from _support import jacobi_max_eigenvalue
@@ -111,6 +116,95 @@ class TestPowerMethod:
         with pytest.warns(RuntimeWarning, match="did not converge"):
             estimate = power_method_lambda_max(X, rel_tol=0.0, max_iter=3)
         assert estimate > 0.0
+
+
+def _smaller_gram(X):
+    return X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
+
+
+def _spectral_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "wide":
+        return rng.standard_normal((20, 50))
+    if name == "tall":
+        return rng.standard_normal((50, 20))
+    if name == "duplicated":
+        X = rng.standard_normal((30, 12))
+        X[:, 7] = X[:, 2]
+        X[:, 9] = X[:, 2]
+        return X
+    if name == "rank_deficient":
+        return rng.standard_normal((25, 3)) @ rng.standard_normal((3, 40))
+    if name == "kronecker":
+        # 96 x 528; every eigenvalue of X'X, the largest included, has
+        # multiplicity 8.
+        base = rng.choice([-1.0, 1.0], size=(12, 66))
+        return kronecker_design(sylvester_hadamard(8), base)
+    if name == "one_column":
+        return rng.standard_normal((15, 1))
+    if name == "two_rows":
+        return rng.standard_normal((2, 6))
+    raise KeyError(name)
+
+
+SPECTRAL_CASES = (
+    "wide", "tall", "duplicated", "rank_deficient", "kronecker", "one_column", "two_rows",
+)
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("case", SPECTRAL_CASES)
+    def test_matches_jacobi_oracle(self, case):
+        design = prepare_design(_spectral_case(case))
+        expected = jacobi_max_eigenvalue(_smaller_gram(np.asarray(design.X)))
+        theta = lanczos_lambda_max(design.X)
+        assert abs(theta - expected) <= 1e-12 * expected
+        assert design.c >= expected
+
+    @pytest.mark.parametrize("case", SPECTRAL_CASES)
+    def test_deterministic(self, case):
+        X = prepare_design(_spectral_case(case)).X
+        assert lanczos_lambda_max(X) == lanczos_lambda_max(X)
+        assert prepare_design(X).c == prepare_design(X).c
+
+    def test_zero_matrix(self):
+        assert lanczos_lambda_max(np.zeros((4, 3))) == 0.0
+        assert lanczos_lambda_max(np.zeros((3, 4))) == 0.0
+        design = prepare_design(np.full((5, 3), 2.0))  # every column constant
+        np.testing.assert_array_equal(design.X, 0.0)
+        assert design.c == 1.0
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            lanczos_lambda_max(np.zeros((3, 0)))
+
+
+class TestPrepareAndBind:
+    def test_standardize_is_bind_of_prepare_design(self):
+        rng = np.random.default_rng(10)
+        X = 3.0 * rng.standard_normal((30, 8)) + 1.0
+        X[:, 5] = -2.0
+        y = rng.standard_normal(30) + 5.0
+        design = prepare_design(X)
+        whole = standardize(X, y)
+        split = bind(design, y)
+        for field in ("X", "y", "xty", "col_means", "col_scales", "degenerate"):
+            assert getattr(whole, field).tobytes() == getattr(split, field).tobytes()
+        assert (whole.c, whole.y_mean) == (split.c, split.y_mean)
+        assert split.X is design.X
+
+    def test_design_arrays_are_read_only(self):
+        design = prepare_design(np.random.default_rng(11).standard_normal((10, 4)))
+        for array in (design.X, design.col_means, design.col_scales, design.degenerate):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_bind_checks_the_response(self):
+        design = prepare_design(np.random.default_rng(12).standard_normal((6, 3)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            bind(design, np.ones(5))
+        with pytest.raises(ValueError, match="non-finite"):
+            bind(design, np.array([1.0, 2.0, np.nan, 0.0, 1.0, 1.0]))
 
 
 class TestMinNormLeastSquares:
