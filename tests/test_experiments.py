@@ -14,6 +14,7 @@ from subsetscreen import (
     write_method_table,
     write_repetition_records,
 )
+from subsetscreen import experiments
 
 
 def small_config(**overrides):
@@ -259,3 +260,79 @@ class TestRunExperiment:
         for row in result.table.rows:
             assert 0.0 <= row.cr <= 1.0
             assert row.ao >= 0.0
+
+
+def kronecker_config(path, repetitions=20, methods=("sis", "foss-sis", "fs", "foss-fs")):
+    return config_from_dict(
+        {
+            "d": 2, "sigma": 0.5, "beta_value": 1.0, "M": 6,
+            "repetitions": repetitions, "methods": list(methods), "seed": 5,
+            "design": {"kind": "kronecker", "base_design_path": str(path), "hadamard_order": 4},
+        }
+    )
+
+
+def write_base(path, seed):
+    base = np.random.default_rng(seed).choice([-1.0, 1.0], size=(6, 20))
+    np.savetxt(path, base, delimiter=",", fmt="%.0f")
+
+
+class TestFixedDesignCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        experiments._fixed_design.cache_clear()
+        yield
+        experiments._fixed_design.cache_clear()
+
+    def test_each_fixed_design_is_prepared_once(self, tmp_path, monkeypatch):
+        shapes = []
+        real = experiments.prepare_design
+
+        def counting(X):
+            shapes.append(X.shape)
+            return real(X)
+
+        monkeypatch.setattr(experiments, "prepare_design", counting)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_base(first, 1)
+        write_base(second, 2)
+        run_experiment(kronecker_config(first))
+        assert len(shapes) == 1
+        run_experiment(kronecker_config(second))
+        run_experiment(kronecker_config(first))
+        assert len(shapes) == 2
+        # Equicorrelated designs are new every repetition.
+        run_experiment(small_config(repetitions=5, methods=["sis"]))
+        assert len(shapes) == 2 + 5
+
+    def test_cached_arrays_refuse_writes(self, tmp_path):
+        path = tmp_path / "base.csv"
+        write_base(path, 3)
+        X, design = experiments._design(kronecker_config(path), 0)
+        assert experiments._design(kronecker_config(path), 1)[1] is design
+        for array in (X, design.X, design.col_means, design.col_scales, design.degenerate):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_rewritten_base_file_is_read_again(self, tmp_path):
+        path = tmp_path / "base.csv"
+        write_base(path, 4)
+        config = kronecker_config(path, repetitions=3)
+        before = run_experiment(config)
+        write_base(path, 5)
+        after = run_experiment(config)
+        experiments._fixed_design.cache_clear()
+        fresh = run_experiment(config)
+        assert after.records == fresh.records
+        assert after.records != before.records
+
+    def test_repetitions_csv_same_for_one_and_two_workers(self, tmp_path):
+        path = tmp_path / "base.csv"
+        write_base(path, 6)
+        config = kronecker_config(path, repetitions=8)
+        written = []
+        for workers in (1, 2):
+            out = tmp_path / f"repetitions-{workers}.csv"
+            write_repetition_records(out, run_experiment(config, workers=workers).records)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
