@@ -253,7 +253,7 @@ def _design(config: ExperimentConfig, rep_index: int) -> tuple[np.ndarray, Prepa
         )
         return X, prepare_design(X)
     if design.kind == "kronecker":
-        import hashlib  # here, not at module level: it is not needed to start up
+        import hashlib  # not at module level, which every command start pays for
 
         with open(design.base_design_path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
