@@ -58,14 +58,17 @@ def _read_rows(path):
     try:
         with open(path, newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or not any(cell.strip() for cell in row):
-                    continue
-                rows.append((lineno, row))
+                if not _is_blank(row):
+                    rows.append((lineno, row))
     except OSError as exc:
         raise InputFileError(path, 0, exc.strerror or str(exc)) from exc
     if not rows:
         raise InputFileError(path, 1, "no data rows")
     return rows
+
+
+def _is_blank(row) -> bool:
+    return not row or not any(cell.strip() for cell in row)
 
 
 def _is_numeric_row(row) -> bool:
@@ -94,10 +97,7 @@ def _read_matrix_fast(path) -> np.ndarray | None:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            first = next(
-                (row for row in reader if row and any(cell.strip() for cell in row)),
-                None,
-            )
+            first = next((row for row in reader if not _is_blank(row)), None)
             skip = reader.line_num
         if first is None:
             return None
