@@ -128,10 +128,6 @@ class PreparedDesign:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
 
 def prepare_design(X_raw) -> PreparedDesign:
     """Center and rescale a design matrix and compute its spectral constant.
