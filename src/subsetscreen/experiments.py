@@ -253,21 +253,18 @@ def _design(config: ExperimentConfig, rep_index: int) -> tuple[np.ndarray, Prepa
         )
         return X, prepare_design(X)
     if design.kind == "kronecker":
-        import hashlib  # not at module level, which every command start pays for
-
-        with open(design.base_design_path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        return _fixed_design(design.base_design_path, digest, design.hadamard_order)
+        return _fixed_design(design.base_design_path, design.hadamard_order)
     raise ConfigError("design.kind", f"unknown design kind {design.kind!r}")
 
 
-@lru_cache(maxsize=4)
-def _fixed_design(path: str, digest: str, order: int) -> tuple[np.ndarray, PreparedDesign]:
-    """Build a Kronecker design once per process and file content.
+@lru_cache(maxsize=1)
+def _fixed_design(path: str, order: int) -> tuple[np.ndarray, PreparedDesign]:
+    """Build a Kronecker design once for the repetitions of one run.
 
-    ``digest`` (of the file bytes) is part of the key, so a rewritten
-    base file is read again.  Every array returned is read-only, because
-    every repetition on the design shares it.
+    :func:`run_experiment` empties this cache when it starts, so a
+    rewritten base file is read again by the next run.  Every array
+    returned is read-only, because every repetition on the design shares
+    it.
     """
     # config_from_dict read this file and warned about its entries.
     with warnings.catch_warnings():
@@ -286,7 +283,8 @@ def evaluate_repetition(
     The design and the noise come from separate child streams of the
     master seed, so the same repetition index always reproduces the same
     data regardless of scheduling.  A fixed (Kronecker) design is read and
-    prepared once per process and reused by every repetition on it.
+    prepared once and reused by every later repetition on it until the
+    next :func:`run_experiment` call starts.
     """
     X, design = _design(config, rep_index)
     y = gen_response(
@@ -316,13 +314,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     Repetitions are independent jobs keyed by their index; with
     ``workers > 1`` they run in a process pool.  Output is identical for
     any worker count because every repetition derives its own streams
-    and the aggregation folds records in repetition order.
+    and the aggregation folds records in repetition order.  A fixed
+    (Kronecker) design is built and prepared once per call, or once per
+    worker with ``workers > 1``.
 
     Raises ValueError when ``workers`` is below 1, and when every
     repetition is excluded (naming the first exclusion).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    _fixed_design.cache_clear()
     reps = range(config.repetitions)
     task = partial(_evaluate_safely, config)
     if workers > 1:

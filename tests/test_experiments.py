@@ -278,13 +278,7 @@ def write_base(path, seed):
 
 
 class TestFixedDesignCache:
-    @pytest.fixture(autouse=True)
-    def empty_cache(self):
-        experiments._fixed_design.cache_clear()
-        yield
-        experiments._fixed_design.cache_clear()
-
-    def test_each_fixed_design_is_prepared_once(self, tmp_path, monkeypatch):
+    def test_each_fixed_design_is_prepared_once_per_run(self, tmp_path, monkeypatch):
         shapes = []
         real = experiments.prepare_design
 
@@ -300,10 +294,10 @@ class TestFixedDesignCache:
         assert len(shapes) == 1
         run_experiment(kronecker_config(second))
         run_experiment(kronecker_config(first))
-        assert len(shapes) == 2
+        assert len(shapes) == 3
         # Equicorrelated designs are new every repetition.
         run_experiment(small_config(repetitions=5, methods=["sis"]))
-        assert len(shapes) == 2 + 5
+        assert len(shapes) == 3 + 5
 
     def test_cached_arrays_refuse_writes(self, tmp_path):
         path = tmp_path / "base.csv"
@@ -315,15 +309,13 @@ class TestFixedDesignCache:
                 array[0] = 0
 
     def test_rewritten_base_file_is_read_again(self, tmp_path):
-        path = tmp_path / "base.csv"
+        path, other = tmp_path / "base.csv", tmp_path / "other.csv"
         write_base(path, 4)
-        config = kronecker_config(path, repetitions=3)
-        before = run_experiment(config)
+        before = run_experiment(kronecker_config(path, repetitions=3))
         write_base(path, 5)
-        after = run_experiment(config)
-        experiments._fixed_design.cache_clear()
-        fresh = run_experiment(config)
-        assert after.records == fresh.records
+        after = run_experiment(kronecker_config(path, repetitions=3))
+        write_base(other, 5)
+        assert after.records == run_experiment(kronecker_config(other, repetitions=3)).records
         assert after.records != before.records
 
     def test_repetitions_csv_same_for_one_and_two_workers(self, tmp_path):
