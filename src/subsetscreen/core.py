@@ -5,6 +5,20 @@ variant that refits least squares on the thresholded set), iteration
 drivers with stopping rules, the multi-start scheme over forward-stepwise
 prefixes, and an exhaustive best-subset oracle for small problems.
 
+The update maps work in Gram space wherever the point they start from
+fits the sparsity budget.  The gradient X'(y - X beta) is formed as
+X'y - G[A, :]' beta_A from the rows of G = X'X on the active set A,
+which the problem's ``GramRows`` cache computes once per design and
+column; thresholding finds the M-th magnitude by a partition, in O(p);
+and a refit solves the normal equations on the cached block G[A, A] by
+Cholesky, with one correction step of the semi-normal equations, falling
+back to minimum-norm least squares on near-dependent or ill-conditioned
+sets.  A point over the budget (a dense start, or a stepwise prefix
+longer than M) uses the residual instead, so the cache only holds rows
+of sets of at most M columns.  The objective is always computed from the
+residual: it decides when an iteration stops and which iterate is
+returned.
+
 The oracle works in two stages.  One depth-first modified Gram-Schmidt
 sweep over lexicographic prefixes scores all C(p, M) subsets, each score
 with an error allowance that grows as the sweep's pivots on that subset
@@ -20,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .numerics import FACTOR_SOLVE_RTOL, StandardizedProblem, min_norm_least_squares
 
@@ -65,6 +80,16 @@ SCORE_SLACK = 1024.0
 # Entries below which a block of the oracle's last two levels is not split.
 PAIR_BLOCK = 1 << 13
 
+# A Cholesky refit is kept only when its correction step moves no
+# coefficient by more than this fraction of the largest one.  The
+# correction is about the error of the first solve, and what is left
+# after it is about that error squared (relative), so a kept refit is
+# within roughly 1e-10 of the least-squares solution.  A larger
+# correction marks a set too ill-conditioned for the normal equations
+# (its condition can far exceed what its smallest pivot shows), and the
+# set goes to min_norm_least_squares.
+REFINE_RTOL = 1e-5
+
 
 class EnumerationCapError(ValueError):
     """The number of subsets to enumerate exceeds the enumeration cap."""
@@ -87,7 +112,7 @@ class SparseCoef:
     @classmethod
     def from_dense(cls, beta, bound: int) -> "SparseCoef":
         beta = np.asarray(beta, dtype=float)
-        return cls(beta=beta, active=np.flatnonzero(beta), bound=int(bound))
+        return cls(beta=beta, active=beta.nonzero()[0], bound=int(bound))
 
     @classmethod
     def zeros(cls, p: int, bound: int) -> "SparseCoef":
@@ -158,27 +183,42 @@ def _residual(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
 def hard_threshold(x, M: int) -> np.ndarray:
     """Keep the M entries of largest magnitude, zero the rest.
 
-    Ties are broken toward the smaller index (stable sort on descending
-    magnitude), so the output is reproducible bit for bit.
+    Ties are broken toward the smaller index, exactly as a stable sort on
+    descending magnitude breaks them, so the output is reproducible bit
+    for bit.  Runs in O(p) for finite input: a partition finds the M-th
+    largest magnitude, every entry at or above it is kept, and when
+    entries equal to it overflow the M places the last of them are
+    dropped.
     """
     x = np.asarray(x, dtype=float)
     if M < 0:
         raise ValueError("M must be nonnegative")
-    if M >= x.shape[0]:
+    p = x.shape[0]
+    if M >= p:
         return x.copy()
-    out = np.zeros_like(x)
     if M == 0:
-        return out
-    keep = np.argsort(-np.abs(x), kind="stable")[:M]
-    out[keep] = x[keep]
-    return out
+        return np.zeros_like(x)
+    magnitude = np.abs(x)
+    cut = np.partition(magnitude, p - M)[p - M]
+    keep = magnitude >= cut
+    extra = np.count_nonzero(keep) - M
+    if extra:
+        keep[np.flatnonzero(magnitude == cut)[-extra:]] = False
+    return np.where(keep, x, 0.0)
 
 
 def _gradient_candidate(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
     # beta + X'(y - X beta)/c; flagged zero-variance coordinates are
-    # cleared so they can never enter an active set.
-    r = _residual(problem, coef)
-    v = coef.beta + (problem.X.T @ r) / problem.c
+    # cleared so they can never enter an active set.  Within the budget
+    # X'(y - X beta) = X'y - G[A, :]' beta_A from the cached Gram rows.
+    # A point over it (a restart from a long stepwise prefix) uses the
+    # residual, so the cache holds no rows that only such points need.
+    A = coef.active
+    if A.size > coef.bound:
+        gradient = problem.X.T @ _residual(problem, coef)
+    else:
+        gradient = problem.xty - coef.beta[A] @ problem.gram.take(A)
+    v = coef.beta + gradient / problem.c
     if problem.degenerate.any():
         v[problem.degenerate] = 0.0
     return v
@@ -211,12 +251,44 @@ def _thresholded_set(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarr
 
 
 def refit_subset(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
-    """Minimum-norm least-squares fit on the given columns, zeros elsewhere."""
+    """Least-squares fit on the given columns, zeros elsewhere.
+
+    A set of at most ``bound`` columns is solved on its block of the
+    cached Gram matrix by Cholesky, followed by one correction step of
+    the semi-normal equations (the residual is formed from X, so the
+    result agrees with a QR solution to far better than the normal
+    equations alone, whose error grows with the square of the set's
+    condition number).  Larger sets, sets whose Cholesky factor has a
+    diagonal entry at or below ``FACTOR_SOLVE_RTOL`` * sqrt(n), that
+    fraction of a standardized column's norm, and sets whose correction
+    exceeds ``REFINE_RTOL`` are solved by ``min_norm_least_squares``, so
+    near-dependent and rank-deficient sets keep minimum-norm semantics.
+    """
     active = np.asarray(active, dtype=int)
     beta = np.zeros(problem.p)
     if active.size:
-        beta[active] = min_norm_least_squares(problem.X[:, active], problem.y)
+        values = _cholesky_refit(problem, active) if active.size <= bound else None
+        if values is None:
+            values = min_norm_least_squares(problem.X[:, active], problem.y)
+        beta[active] = values
     return SparseCoef.from_dense(beta, bound)
+
+
+def _cholesky_refit(problem: StandardizedProblem, active: np.ndarray):
+    """Corrected semi-normal solution on ``active``, or None when the
+    Cholesky factor of its Gram block fails, has a pivot too small to
+    trust, or needs a correction above ``REFINE_RTOL``."""
+    # LAPACK is called directly: the checking wrappers cost more than
+    # the factorization of a block this small.
+    U, info = dpotrf(problem.gram.take(active)[:, active], lower=0, clean=0)
+    if info != 0 or np.diagonal(U).min() <= FACTOR_SOLVE_RTOL * math.sqrt(problem.n):
+        return None
+    XA = problem.X[:, active]
+    values, _ = dpotrs(U, problem.xty[active])
+    correction, _ = dpotrs(U, XA.T @ (problem.y - XA @ values))
+    if np.abs(correction).max() > REFINE_RTOL * np.abs(values).max():
+        return None
+    return values + correction
 
 
 def run(
@@ -280,7 +352,7 @@ def _iterate(problem, init, M, opts, step) -> ScreeningResult:
                 termination = TERM_CONVERGED
                 break
         if opts.algorithm == "foss":
-            key = tuple(int(j) for j in coef.active)
+            key = tuple(coef.active.tolist())
             if key in visited:
                 termination = TERM_CYCLE
                 break
@@ -345,10 +417,15 @@ def multi_start_foss_fs(
 
     Runs the refitting iteration from the least-squares estimator of
     every forward-stepwise prefix whose size falls in the restart window
-    (clipped to the sizes the path actually reached) and returns the run
-    with the smallest final objective; exact ties go to the
-    lexicographically smaller active set.  Deterministic given its
-    inputs.
+    (clipped to the sizes the path actually reached).  The coefficients
+    and objective trace returned are those of the run with the smallest
+    final objective; exact ties go to the lexicographically smaller
+    active set.  ``iterations`` and ``termination`` are those of the run
+    from the smallest prefix that ends on the same active set: several
+    restarts often reach one set, with final objectives that differ only
+    in rounding (a refit against a stepwise estimator on the same set),
+    and the count must not depend on which of them wins by the last
+    bits.  Deterministic given its inputs.
 
     Neighbouring restarts tend to reach the same few active sets, so
     within one call each set is refit once: the refit on a set, its
@@ -368,12 +445,21 @@ def multi_start_foss_fs(
     step = _MemoizedRefitStep(problem)
     best = None
     best_key = None
+    first_on_set: dict[tuple[int, ...], ScreeningResult] = {}
     for size in range(lo, hi + 1):
         result = _iterate(problem, fs_path.coef_at(size), M, opts, step)
-        key = (result.final_rss, tuple(int(j) for j in result.coef.active))
+        active = tuple(result.coef.active.tolist())
+        first_on_set.setdefault(active, result)
+        key = (result.final_rss, active)
         if best_key is None or key < best_key:
             best, best_key = result, key
-    return best
+    counted = first_on_set[best_key[1]]
+    return ScreeningResult(
+        coef=best.coef,
+        rss_trace=best.rss_trace,
+        iterations=counted.iterations,
+        termination=counted.termination,
+    )
 
 
 def exhaustive_best_subset(

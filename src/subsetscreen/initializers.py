@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
-from .core import SparseCoef, refit_subset, rss
+from .core import SparseCoef, refit_subset
 from .numerics import FACTOR_SOLVE_RTOL, StandardizedProblem, min_norm_least_squares
 
 __all__ = ["FsStep", "FsPath", "sis", "isis", "forward_stepwise"]
@@ -44,13 +44,12 @@ TIE_RTOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class FsStep:
     """One stepwise addition: the index added, the active set after it
-    (ascending), the least-squares coefficients on that set (``coef[i]``
-    belongs to column ``active[i]``), and its residual sum of squares."""
+    (ascending), and the least-squares coefficients on that set
+    (``coef[i]`` belongs to column ``active[i]``)."""
 
     added: int
     active: tuple[int, ...]
     coef: np.ndarray
-    rss: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,16 +172,14 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
         # so the first diagonal entry is the largest.
         factor_usable = factor_usable and R[k, k] > FACTOR_SOLVE_RTOL * R[0, 0]
         if factor_usable:
-            values = solve_triangular(R[: k + 1, : k + 1], qty[: k + 1])[by_index]
+            # R x = Q'y as solve_triangular solves it (LAPACK on the
+            # Fortran-ordered transpose), without its input checks.
+            values, _ = dtrtrs(R[: k + 1, : k + 1].T, qty[: k + 1], lower=1, trans=1)
+            values = values[by_index]
         else:
             values = min_norm_least_squares(problem.X[:, active], problem.y)
         steps.append(
-            FsStep(
-                added=order[k],
-                active=tuple(int(i) for i in active),
-                coef=values,
-                rss=rss(problem, _prefix_coef(p, active, values, k + 1)),
-            )
+            FsStep(added=order[k], active=tuple(active.tolist()), coef=values)
         )
 
     return FsPath(steps=tuple(steps), max_size=max_size, truncated=truncated, p=p)

@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and instance generators."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -65,6 +66,59 @@ def count_min_norm_calls(monkeypatch, module):
 
     monkeypatch.setattr(module, "min_norm_least_squares", counted)
     return calls
+
+
+def reference_hard_threshold(x, M):
+    """Stable-argsort thresholding, the reference of ``hard_threshold``.
+
+    Keeps the M entries of largest magnitude; a stable sort on
+    descending magnitude sends ties to the smaller index.
+    """
+    x = np.asarray(x, dtype=float)
+    if M >= x.shape[0]:
+        return x.copy()
+    out = np.zeros_like(x)
+    if M == 0:
+        return out
+    keep = np.argsort(-np.abs(x), kind="stable")[:M]
+    out[keep] = x[keep]
+    return out
+
+
+def reference_oss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
+    """The thresholded step with its gradient X'(y - X beta) formed from
+    the residual, the reference of the Gram-space ``oss_step``."""
+    r = problem.y - problem.X[:, coef.active] @ coef.beta[coef.active]
+    v = coef.beta + (problem.X.T @ r) / problem.c
+    v[problem.degenerate] = 0.0
+    return SparseCoef.from_dense(reference_hard_threshold(v, coef.bound), coef.bound)
+
+
+def reference_refit(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
+    """Minimum-norm QR refit on ``active``, the reference of the Cholesky
+    refit in ``refit_subset``."""
+    active = np.asarray(active, dtype=int)
+    beta = np.zeros(problem.p)
+    if active.size:
+        beta[active] = min_norm_least_squares(problem.X[:, active], problem.y)
+    return SparseCoef.from_dense(beta, bound)
+
+
+def exact_rss(problem: StandardizedProblem, coef: SparseCoef) -> Fraction:
+    """||y - X beta||^2 of the stored doubles in exact rational arithmetic.
+
+    Free of the rounding of forming the residual, which for a large
+    coefficient vector on near-collinear columns is far above the gap
+    between two equally accurate solutions.
+    """
+    A = coef.active
+    X = [[Fraction(float(v)) for v in row] for row in problem.X[:, A]]
+    b = [Fraction(float(v)) for v in coef.beta[A]]
+    total = Fraction(0)
+    for row, yi in zip(X, problem.y):
+        r = Fraction(float(yi)) - sum(xij * bj for xij, bj in zip(row, b))
+        total += r * r
+    return total
 
 
 def random_problem(seed, n=30, p=8, d=2, sigma=0.5, beta_value=2.0):
@@ -161,7 +215,9 @@ def plain_multi_start(problem, M, fs_path, opts=None):
 
     The restart loop that ``multi_start_foss_fs`` memoized, kept as its
     reference: every restart is a separate ``run``, which refits every
-    active set it reaches.
+    active set it reaches.  The coefficients come from the restart with
+    the smallest (final objective, active set); the iteration count and
+    termination from the first restart that ends on that set.
     """
     if opts is None:
         opts = IterationOptions(algorithm="foss")
@@ -172,11 +228,13 @@ def plain_multi_start(problem, M, fs_path, opts=None):
     lo = min(lo, hi)
     if hi < 1:
         raise ValueError("stepwise path is empty")
-    best = None
-    best_key = None
-    for size in range(lo, hi + 1):
-        result = run(problem, fs_path.coef_at(size), M, opts)
-        key = (result.final_rss, tuple(int(j) for j in result.coef.active))
-        if best_key is None or key < best_key:
-            best, best_key = result, key
-    return best
+    results = [run(problem, fs_path.coef_at(size), M, opts) for size in range(lo, hi + 1)]
+    best = min(results, key=lambda r: (r.final_rss, tuple(r.coef.active.tolist())))
+    # The count is the one of the smallest prefix that reaches the set.
+    counted = next(r for r in results if np.array_equal(r.coef.active, best.coef.active))
+    return ScreeningResult(
+        coef=best.coef,
+        rss_trace=best.rss_trace,
+        iterations=counted.iterations,
+        termination=counted.termination,
+    )

@@ -1,4 +1,6 @@
 import warnings
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,10 +31,14 @@ from subsetscreen import core
 from _support import (
     assert_same_oracle,
     count_min_norm_calls,
+    exact_rss,
     jacobi_max_eigenvalue,
     orthogonal_design,
     plain_multi_start,
     random_problem,
+    reference_hard_threshold,
+    reference_oss_step,
+    reference_refit,
     unique_solution_problem,
 )
 
@@ -76,6 +82,20 @@ class TestHardThreshold:
 
     def test_m_zero(self):
         np.testing.assert_array_equal(hard_threshold(np.array([1.0, 2.0]), 0), [0.0, 0.0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_stable_argsort_on_ties(self, seed):
+        # Few distinct magnitudes, both signs, zeros of both signs: most
+        # cuts fall inside a run of tied entries.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 60))
+        x = rng.choice([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0], size=p)
+        if seed % 2:
+            x *= rng.choice([1.0, 1.0 + 2.0**-52], size=p)  # ties one ulp apart
+        for M in sorted({0, 1, max(p - 1, 0), p, *rng.integers(0, p + 1, size=8).tolist()}):
+            got, ref = hard_threshold(x, M), reference_hard_threshold(x, M)
+            assert got.tobytes() == ref.tobytes()
+            assert np.count_nonzero(hard_threshold(np.abs(x) + 1.0, M)) == M
 
 
 class TestSteps:
@@ -162,6 +182,113 @@ class TestSteps:
         beta[2] = 9.0  # junk weight on the constant column
         stepped = oss_step(prob, SparseCoef.from_dense(beta, 2))
         assert 2 not in stepped.active
+
+
+def _near_collinear_refit_case(seed, rho):
+    # The last column leaves a fraction of about rho of its norm outside
+    # the span of two others, so the Cholesky factor of the set's Gram
+    # block has a relative pivot of about rho.
+    rng = np.random.default_rng(seed)
+    n, k = (40, 6) if seed % 2 else (96, 10)
+    X = rng.standard_normal((n, k + 3))
+    mixed = X[:, :2] @ rng.standard_normal(2)
+    X[:, k] = mixed + rho * np.linalg.norm(mixed) / np.sqrt(n) * rng.standard_normal(n)
+    y = X[:, :3] @ rng.standard_normal(3) + rng.uniform(0.1, 3.0) * rng.standard_normal(n)
+    return standardize(X, y), np.arange(k + 1)
+
+
+def _kahan_refit_case(c, p=10):
+    # Kahan's triangular factor behind orthonormal columns: every pivot
+    # stays above FACTOR_SOLVE_RTOL while the condition number reaches
+    # 1e7, far beyond what the smallest pivot shows.
+    rng = np.random.default_rng(48)
+    s = np.sqrt(1.0 - c * c) ** np.arange(p)
+    R = np.diag(s) - c * np.triu(np.ones((p, p)), 1) * s[:, None]
+    Q, _ = np.linalg.qr(rng.standard_normal((40, p)))
+    return standardize(Q @ R, rng.standard_normal(40)), np.arange(p)
+
+
+# Near-collinear sets with relative pivots spread log-uniformly over
+# [FACTOR_SOLVE_RTOL, 1], and Kahan sets.
+REFIT_CASES = {
+    **{
+        f"near-collinear-{seed:02d}": partial(
+            _near_collinear_refit_case,
+            seed,
+            10.0 ** (np.log10(core.FACTOR_SOLVE_RTOL) * (seed + 0.5) / 24),
+        )
+        for seed in range(24)
+    },
+    **{f"kahan-{c}": partial(_kahan_refit_case, c) for c in (0.9, 0.911, 0.922, 0.933, 0.944, 0.955)},
+}
+
+
+class TestGramEngine:
+    """The Gram-space step and refit against their residual and QR references."""
+
+    def test_rows_do_not_depend_on_fill_order(self):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((30, 12))
+        y = rng.standard_normal(30)
+        forward, backward = standardize(X, y), standardize(X, y)
+        order = rng.permutation(12)
+        for j in order:
+            forward.gram.take(np.array([j]))
+        taken = backward.gram.take(order[::-1].copy())[::-1]
+        assert len(forward.gram) == len(backward.gram) == 12
+        for row, j in zip(taken, order):
+            expected = forward.X.T @ forward.X[:, j]
+            assert row.tobytes() == expected.tobytes()
+            assert forward.gram.take(np.array([j]))[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ["random", "kronecker"])
+    def test_step_matches_residual_reference(self, case):
+        if case == "random":
+            prob, M = random_problem(22, n=50, p=80, d=4), 6
+        else:
+            prob, M = _kronecker_problem(22)
+        coef = SparseCoef.zeros(prob.p, M)
+        for _ in range(30):
+            got, ref = oss_step(prob, coef), reference_oss_step(prob, coef)
+            np.testing.assert_array_equal(got.active, ref.active)
+            scale = np.abs(ref.beta).max()
+            assert np.abs(got.beta - ref.beta).max() <= 1e-12 * scale
+            coef = ref
+
+    def test_over_budget_step_is_the_residual_step(self):
+        rng = np.random.default_rng(23)
+        prob = standardize(rng.standard_normal((30, 40)), rng.standard_normal(30))
+        dense = SparseCoef.from_dense(rng.standard_normal(40), 5)
+        got, ref = oss_step(prob, dense), reference_oss_step(prob, dense)
+        assert got.beta.tobytes() == ref.beta.tobytes()
+        assert len(prob.gram) == 0  # no row is cached for a set over budget
+
+    @pytest.mark.parametrize("case", sorted(REFIT_CASES))
+    def test_refit_matches_qr(self, case):
+        prob, active = REFIT_CASES[case]()
+        got = refit_subset(prob, active, active.size)
+        ref = reference_refit(prob, active, active.size)
+        np.testing.assert_array_equal(got.active, ref.active)
+        assert np.abs(got.beta - ref.beta).max() <= 1e-8 * np.abs(ref.beta).max()
+        # Compared exactly: forming either residual in floating point
+        # rounds by more than 1e-12 of the RSS on the worst of these sets.
+        exact_got, exact_ref = exact_rss(prob, got), exact_rss(prob, ref)
+        assert abs(exact_got - exact_ref) <= 1e-12 * exact_ref
+
+    def test_refit_takes_the_cholesky_path_above_the_cutoff(self, monkeypatch):
+        calls = count_min_norm_calls(monkeypatch, core)
+        for seed in range(12):
+            prob, active = _near_collinear_refit_case(seed, 1e-3)
+            refit_subset(prob, active, active.size)
+        assert calls == []
+
+    def test_refit_falls_back_on_dependent_and_over_budget_sets(self, monkeypatch):
+        prob, _ = _duplicated_problem(24)
+        calls = count_min_norm_calls(monkeypatch, core)
+        for active, bound in (([1, 4, 18], 3), ([0, 1, 2, 3], 2)):
+            got = refit_subset(prob, active, bound)
+            assert got.beta.tobytes() == reference_refit(prob, active, bound).beta.tobytes()
+        assert calls == [3, 4]
 
 
 def _active_stabilization(problem, init, M, step, cap=400):
@@ -353,17 +480,37 @@ class TestMultiStartMatchesPlainRestarts:
         with monkeypatch.context() as patch:
             patch.setattr(core, "refit_subset", recorded)
             ref = plain_multi_start(prob, M, path)
-        calls = count_min_norm_calls(monkeypatch, core)
+        plain_sets, refit_sets = refit_sets, []
+        monkeypatch.setattr(core, "refit_subset", recorded)
         res = multi_start_foss_fs(prob, M, path)
 
         assert res.coef.beta.tobytes() == ref.coef.beta.tobytes()
         assert res.rss_trace.tobytes() == ref.rss_trace.tobytes()
         assert res.iterations == ref.iterations
         assert res.termination == ref.termination
-        distinct = {s for s in refit_sets if s}
-        assert len(calls) == len(distinct) < len(refit_sets)
+        distinct = set(plain_sets)
+        assert sorted(refit_sets) == sorted(distinct)
+        assert len(distinct) < len(plain_sets)
         if case == "duplicated":
             assert any(len({4, 18, 19} & set(s)) > 1 for s in distinct)
+
+    @pytest.mark.parametrize("seed", range(30, 36))
+    def test_iteration_count_ignores_last_ulps_of_the_starts(self, seed):
+        prob, M = _kronecker_problem(seed)
+        path = forward_stepwise(prob, multi_start_window(prob.n, prob.p, M)[1])
+        base = multi_start_foss_fs(prob, M, path)
+        for ulps in (1, 2, 3):
+            nudged = replace(
+                path,
+                steps=tuple(
+                    replace(step, coef=step.coef + ulps * np.spacing(step.coef))
+                    for step in path.steps
+                ),
+            )
+            res = multi_start_foss_fs(prob, M, nudged)
+            np.testing.assert_array_equal(res.coef.active, base.coef.active)
+            assert res.iterations == base.iterations
+            assert res.termination == base.termination
 
 
 class TestExhaustive:
@@ -522,7 +669,7 @@ class TestOracleMatchesPlainEnumeration:
         np.testing.assert_array_equal(prob.X[:, 10], prob.X[:, 11])
         res = exhaustive_best_subset(prob, 4)
         assert tuple(res.coef.active) == (5, 10, 20, 25)
-        assert rss(prob, refit_subset(prob, [5, 11, 20, 25], 4)) == res.final_rss
+        assert rss(prob, reference_refit(prob, [5, 11, 20, 25], 4)) == res.final_rss
         assert_same_oracle(prob, 4)
 
     @pytest.mark.parametrize("case", ["constant", "zero", "duplicated"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from subsetscreen import (
     IterationOptions,
@@ -128,21 +129,21 @@ class TestForwardStepwise:
         y = X[:, 2] + X[:, 5]
         prob = standardize(X, y)
         path = forward_stepwise(prob, 4)
-        assert path.steps[1].rss <= 1e-10
+        assert rss(prob, path.coef_at(2)) <= 1e-10
         assert set(path.steps[1].active) == {2, 5}
         # once exact, later prefixes stay at (numerical) zero
-        assert path.steps[3].rss <= 1e-10
+        assert rss(prob, path.coef_at(4)) <= 1e-10
 
     def test_greedy_at_least_oracle(self):
         prob = random_problem(54, n=40, p=8, d=3)
         path = forward_stepwise(prob, 3)
         oracle = exhaustive_best_subset(prob, 3)
-        assert path.steps[2].rss >= oracle.final_rss * (1 - 1e-12)
+        assert rss(prob, path.coef_at(3)) >= oracle.final_rss * (1 - 1e-12)
 
     def test_path_rss_strictly_decreases(self):
         prob = correlated_problem(55, n=50, p=15, d=4)
         path = forward_stepwise(prob, 10)
-        values = [step.rss for step in path.steps]
+        values = [rss(prob, path.coef_at(k)) for k in range(1, len(path.steps) + 1)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_nested_active_sets(self):
@@ -188,7 +189,14 @@ class TestForwardStepwise:
             np.testing.assert_array_equal(coef.active, step.active)
             refit = refit_subset(prob, step.active, k)
             np.testing.assert_allclose(coef.beta, refit.beta, rtol=1e-9, atol=1e-12)
-            assert step.rss == rss(prob, coef)
+
+    def test_back_substitution_is_solve_triangular_bit_for_bit(self):
+        prob = correlated_problem(67, n=120, p=400, d=3)
+        path = forward_stepwise(prob, 69)
+        order, _, R, qty, _ = initializers._greedy_factor(prob, 69)
+        for k, step in enumerate(path.steps, start=1):
+            expected = solve_triangular(R[:k, :k], qty[:k])[np.argsort(order[:k])]
+            assert step.coef.tobytes() == expected.tobytes()
 
     def test_near_dependent_prefixes_fall_back_to_min_norm(self, monkeypatch):
         rng = np.random.default_rng(60)
