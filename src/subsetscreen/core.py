@@ -5,19 +5,12 @@ variant that refits least squares on the thresholded set), iteration
 drivers with stopping rules, the multi-start scheme over forward-stepwise
 prefixes, and an exhaustive best-subset oracle for small problems.
 
-The update maps work in Gram space wherever the point they start from
-fits the sparsity budget.  The gradient X'(y - X beta) is formed as
-X'y - G[A, :]' beta_A from the rows of G = X'X on the active set A,
-which the problem's ``GramRows`` cache computes once per design and
-column; thresholding finds the M-th magnitude by a partition, in O(p);
-and a refit solves the normal equations on the cached block G[A, A] by
-Cholesky, with one correction step of the semi-normal equations, falling
-back to minimum-norm least squares on near-dependent or ill-conditioned
-sets.  A point over the budget (a dense start, or a stepwise prefix
-longer than M) uses the residual instead, so the cache only holds rows
-of sets of at most M columns.  The objective is always computed from the
-residual: it decides when an iteration stops and which iterate is
-returned.
+Thresholding in the update maps finds the M-th magnitude by a
+partition, in O(p), and a refit solves the normal equations of the set
+by Cholesky, with one correction step of the semi-normal equations,
+falling back to minimum-norm least squares on near-dependent or
+ill-conditioned sets.  The gradient X'(y - X beta) and the objective
+are formed from the residual.
 
 The oracle works in two stages.  One depth-first modified Gram-Schmidt
 sweep over lexicographic prefixes scores all C(p, M) subsets, each score
@@ -155,6 +148,12 @@ class ScreeningResult:
     earliest), ``rss_trace`` the objective value per iteration (the
     initial point is included only when it satisfies the sparsity
     budget), and ``termination`` one of the TERM_* constants.
+
+    A result of ``multi_start_foss_fs`` combines two restarts: ``coef``
+    and ``rss_trace`` are those of the winning restart, ``iterations``
+    and ``termination`` those of the smallest-prefix restart that ends on
+    the same active set, so ``len(rss_trace)`` need not match
+    ``iterations``.
     """
 
     coef: SparseCoef
@@ -209,16 +208,9 @@ def hard_threshold(x, M: int) -> np.ndarray:
 
 def _gradient_candidate(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
     # beta + X'(y - X beta)/c; flagged zero-variance coordinates are
-    # cleared so they can never enter an active set.  Within the budget
-    # X'(y - X beta) = X'y - G[A, :]' beta_A from the cached Gram rows.
-    # A point over it (a restart from a long stepwise prefix) uses the
-    # residual, so the cache holds no rows that only such points need.
-    A = coef.active
-    if A.size > coef.bound:
-        gradient = problem.X.T @ _residual(problem, coef)
-    else:
-        gradient = problem.xty - coef.beta[A] @ problem.gram.take(A)
-    v = coef.beta + gradient / problem.c
+    # cleared so they can never enter an active set.
+    r = _residual(problem, coef)
+    v = coef.beta + (problem.X.T @ r) / problem.c
     if problem.degenerate.any():
         v[problem.degenerate] = 0.0
     return v
@@ -253,16 +245,16 @@ def _thresholded_set(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarr
 def refit_subset(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
     """Least-squares fit on the given columns, zeros elsewhere.
 
-    A set of at most ``bound`` columns is solved on its block of the
-    cached Gram matrix by Cholesky, followed by one correction step of
-    the semi-normal equations (the residual is formed from X, so the
-    result agrees with a QR solution to far better than the normal
-    equations alone, whose error grows with the square of the set's
-    condition number).  Larger sets, sets whose Cholesky factor has a
-    diagonal entry at or below ``FACTOR_SOLVE_RTOL`` * sqrt(n), that
-    fraction of a standardized column's norm, and sets whose correction
-    exceeds ``REFINE_RTOL`` are solved by ``min_norm_least_squares``, so
-    near-dependent and rank-deficient sets keep minimum-norm semantics.
+    A set of at most ``bound`` columns is solved by Cholesky of its Gram
+    block X_A'X_A, followed by one correction step of the semi-normal
+    equations (the residual is formed from X, so the result agrees with a
+    QR solution to far better than the normal equations alone, whose
+    error grows with the square of the set's condition number).  Larger
+    sets, sets whose Cholesky factor has a diagonal entry at or below
+    ``FACTOR_SOLVE_RTOL`` * sqrt(n), that fraction of a standardized
+    column's norm, and sets whose correction exceeds ``REFINE_RTOL`` are
+    solved by ``min_norm_least_squares``, so near-dependent and
+    rank-deficient sets keep minimum-norm semantics.
     """
     active = np.asarray(active, dtype=int)
     beta = np.zeros(problem.p)
@@ -280,10 +272,10 @@ def _cholesky_refit(problem: StandardizedProblem, active: np.ndarray):
     trust, or needs a correction above ``REFINE_RTOL``."""
     # LAPACK is called directly: the checking wrappers cost more than
     # the factorization of a block this small.
-    U, info = dpotrf(problem.gram.take(active)[:, active], lower=0, clean=0)
+    XA = problem.X[:, active]
+    U, info = dpotrf(XA.T @ XA, lower=0, clean=0)
     if info != 0 or np.diagonal(U).min() <= FACTOR_SOLVE_RTOL * math.sqrt(problem.n):
         return None
-    XA = problem.X[:, active]
     values, _ = dpotrs(U, problem.xty[active])
     correction, _ = dpotrs(U, XA.T @ (problem.y - XA @ values))
     if np.abs(correction).max() > REFINE_RTOL * np.abs(values).max():

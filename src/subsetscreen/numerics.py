@@ -1,14 +1,11 @@
 """Dense linear-algebra primitives shared by the subset-search modules.
 
-Standardization of a regression problem into the centered,
-equal-column-norm convention (split into the design-only part,
-``prepare_design``, and the response part, ``bind``), the largest
-eigenvalue of X'X by Lanczos from a fixed random start (and by the older
-power iteration, kept for comparison), minimum-norm least squares built
-on rank-revealing QR, and ``GramRows``, the lazily filled rows of X'X
-that a prepared design carries.  Every function here is pure; the one
-piece of mutable state is a ``GramRows`` cache, whose rows never depend
-on the order in which they were filled.
+Everything here is a pure function: standardization of a regression
+problem into the centered, equal-column-norm convention (split into the
+design-only part, ``prepare_design``, and the response part, ``bind``),
+the largest eigenvalue of X'X by Lanczos from a fixed random start (and
+by the older power iteration, kept for comparison), and minimum-norm
+least squares built on rank-revealing QR.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, qr, solve_triangular
 
 __all__ = [
-    "GramRows",
     "PreparedDesign",
     "StandardizedProblem",
     "bind",
@@ -46,12 +42,6 @@ LANCZOS_BLOCK = 32
 
 # R diagonals below this fraction of the largest one mark dependent columns.
 RANK_RTOL = 1e-10
-
-# Bytes of Gram rows a design reserves up front (all p rows when they
-# fit).  Only the rows written are backed by memory, so the reservation
-# costs address space, not resident memory, and rows are rarely copied
-# to a larger buffer.
-GRAM_RESERVE_BYTES = 1 << 28
 
 # A Gram-Schmidt factor is trusted only while every column keeps more than
 # this fraction of its norm after the earlier columns are projected out.
@@ -87,9 +77,6 @@ class StandardizedProblem:
     degenerate : ndarray of bool, shape (p,)
         Marks constant (zero-variance) input columns.  Solvers never
         select these.
-    gram : GramRows
-        The design's Gram-row cache, shared with every problem bound to
-        the same design.
     """
 
     X: np.ndarray
@@ -100,7 +87,6 @@ class StandardizedProblem:
     col_scales: np.ndarray
     y_mean: float
     degenerate: np.ndarray
-    gram: "GramRows"
 
     @property
     def n(self) -> int:
@@ -111,60 +97,12 @@ class StandardizedProblem:
         return self.X.shape[1]
 
 
-class GramRows:
-    """Rows of the Gram matrix G = X'X, each computed when first needed.
-
-    Row j is formed by its own matrix-vector product X'x_j, never as
-    part of a batch, so its bits are the same whichever rows were asked
-    for before it, in whatever order, in whichever process.  A lookup
-    can therefore change when a row is computed but never what any
-    caller receives.  The rows live in one buffer reserved up front (up
-    to ``GRAM_RESERVE_BYTES``), of which only the rows written are backed
-    by memory, so resident memory grows by p floats per distinct column
-    asked for, up to p x p.
-    """
-
-    def __init__(self, X: np.ndarray):
-        self._X = X
-        p = X.shape[1]
-        self._slot = np.full(p, -1, dtype=np.intp)
-        self._rows = np.empty((min(p, max(1, GRAM_RESERVE_BYTES // (8 * p))), p))
-        self._filled = 0
-
-    def __len__(self) -> int:
-        """Number of rows computed so far."""
-        return self._filled
-
-    def take(self, columns: np.ndarray) -> np.ndarray:
-        """G[columns, :] as a new array of shape (len(columns), p)."""
-        slots = self._slot[columns]
-        if (slots < 0).any():
-            for j in columns[slots < 0]:
-                self._fill(int(j))
-            slots = self._slot[columns]
-        return self._rows[slots]
-
-    def _fill(self, j: int) -> None:
-        if self._slot[j] >= 0:
-            return
-        p = self._slot.shape[0]
-        if self._filled == self._rows.shape[0]:
-            grown = np.empty((min(p, 2 * self._filled), p))
-            grown[: self._filled] = self._rows[: self._filled]
-            self._rows = grown
-        self._rows[self._filled] = self._X.T @ self._X[:, j]
-        self._slot[j] = self._filled
-        self._filled += 1
-
-
 @dataclass(frozen=True, eq=False)
 class PreparedDesign:
     """A standardized design matrix with everything that depends on X alone.
 
-    Built once by :func:`prepare_design` and shared by every response
-    :func:`bind` attaches to it.  Its arrays are read-only; the Gram-row
-    cache is its only mutable part, and what it returns does not depend
-    on what was asked of it before.
+    Built once by :func:`prepare_design` and shared, read-only, by every
+    response :func:`bind` attaches to it.
 
     Attributes
     ----------
@@ -178,8 +116,6 @@ class PreparedDesign:
         Marks constant (zero-variance) input columns.
     c : float
         Spectral constant, at least as large as lambda_max(X'X).
-    gram : GramRows
-        Rows of X'X, filled as the solvers ask for them.
     """
 
     X: np.ndarray
@@ -187,7 +123,6 @@ class PreparedDesign:
     col_scales: np.ndarray
     degenerate: np.ndarray
     c: float
-    gram: GramRows
 
     @property
     def n(self) -> int:
@@ -201,7 +136,7 @@ def prepare_design(X_raw) -> PreparedDesign:
     equals the number of rows.  Constant columns are kept (scale 1,
     zeroed out) and flagged so downstream solvers skip them.  The
     returned arrays are read-only, so one design can back any number of
-    problems; they share its Gram-row cache, which starts empty.
+    problems.
 
     Parameters
     ----------
@@ -242,20 +177,15 @@ def prepare_design(X_raw) -> PreparedDesign:
     for array in (X, col_means, col_scales, degenerate):
         array.setflags(write=False)
     return PreparedDesign(
-        X=X,
-        col_means=col_means,
-        col_scales=col_scales,
-        degenerate=degenerate,
-        c=c,
-        gram=GramRows(X),
+        X=X, col_means=col_means, col_scales=col_scales, degenerate=degenerate, c=c
     )
 
 
 def bind(design: PreparedDesign, y_raw) -> StandardizedProblem:
     """Attach a response to a prepared design.
 
-    Centers ``y_raw`` and caches X'y; the design's arrays and its
-    Gram-row cache are shared, not copied.
+    Centers ``y_raw`` and caches X'y; the design's arrays are shared, not
+    copied.
 
     Parameters
     ----------
@@ -290,7 +220,6 @@ def bind(design: PreparedDesign, y_raw) -> StandardizedProblem:
         col_scales=design.col_scales,
         y_mean=y_mean,
         degenerate=design.degenerate,
-        gram=design.gram,
     )
 
 

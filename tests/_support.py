@@ -86,8 +86,8 @@ def reference_hard_threshold(x, M):
 
 
 def reference_oss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
-    """The thresholded step with its gradient X'(y - X beta) formed from
-    the residual, the reference of the Gram-space ``oss_step``."""
+    """The thresholded step with a stable-argsort threshold, the
+    reference of the partition threshold in ``oss_step``."""
     r = problem.y - problem.X[:, coef.active] @ coef.beta[coef.active]
     v = coef.beta + (problem.X.T @ r) / problem.c
     v[problem.degenerate] = 0.0

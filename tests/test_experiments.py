@@ -322,7 +322,6 @@ class TestFixedDesignCache:
         assert after.records != before.records
 
     def test_repetitions_csv_same_for_any_worker_count(self, tmp_path):
-        # Each worker fills its own Gram-row cache in its own order.
         path = tmp_path / "base.csv"
         write_base(path, 6)
         config = kronecker_config(path, repetitions=8, methods=EVERY_ITERATION)
@@ -332,21 +331,3 @@ class TestFixedDesignCache:
             write_repetition_records(out, run_experiment(config, workers=workers).records)
             written.append(out.read_bytes())
         assert written[0] == written[1] == written[2]
-
-    def test_repetition_does_not_depend_on_cache_history(self, tmp_path):
-        path = tmp_path / "base.csv"
-        write_base(path, 7)
-        config = kronecker_config(path, repetitions=6, methods=EVERY_ITERATION)
-        experiments._fixed_design.cache_clear()
-        cold = evaluate_repetition(config, 5)
-        experiments._fixed_design.cache_clear()
-        for rep in range(5):
-            evaluate_repetition(config, rep)
-        gram = experiments._design(config, 5)[1].gram
-        warmed = len(gram)
-        warm = evaluate_repetition(config, 5)
-        assert warmed > 0
-        for method in config.methods:
-            a, b = cold[method], warm[method]
-            assert a.coef.beta.tobytes() == b.coef.beta.tobytes()
-            assert (a.rss, a.iterations) == (b.rss, b.iterations)
