@@ -12,19 +12,20 @@ falling back to minimum-norm least squares on near-dependent or
 ill-conditioned sets.  The gradient X'(y - X beta) and the objective
 are formed from the residual.
 
-The oracle works in two stages.  One depth-first modified Gram-Schmidt
-sweep over lexicographic prefixes scores all C(p, M) subsets, each score
-with an error allowance that grows as the sweep's pivots on that subset
-shrink; then only the subsets that could still be the minimum are refit
-exactly by minimum-norm least squares.  The allowance is an empirical
-margin, not a proven bound: where it holds, the answer is the one a
-separate refit of every subset gives.
+The oracle scores every subset S by a Householder QR of [X_S, y], many
+subsets per LAPACK call (the last diagonal entry of R is the residual
+norm of y on X_S), with an error allowance that grows as the QR's
+relative pivots shrink; only the subsets that could still be the
+minimum are then refit exactly by minimum-norm least squares.  The
+allowance is an empirical margin, not a proven bound: where it holds,
+the answer is the one a separate refit of every subset gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -58,20 +59,21 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_MAX_ITER = {"oss": 10_000, "foss": 500}
 ENUMERATION_CAP = 2_000_000
 
-# The oracle's swept score of a subset is trusted to within SCORE_SLACK *
+# The oracle's score of a subset is trusted to within SCORE_SLACK *
 # (n + p) * eps * ||y||^2 / rho^2 of the RSS of its exact refit, rho being
-# the smallest relative pivot of the sweep on that subset.  Both are
-# backward-stable residual norms, whose rounding error is of order
+# the smallest relative pivot |R_jj| / ||x_j|| of the subset's QR.  Both
+# are backward-stable residual norms, whose rounding error is of order
 # (n + p) * eps * ||y||^2 times the subset's condition.  1 / rho^2 stands
 # in for that condition without bounding it (a subset's smallest
 # singular value can sit far below its smallest pivot), so the margin is
 # empirical: the largest gap seen on random, duplicated, constant,
-# near-collinear, integer and Kahan-type designs was 0.16 of that unit,
-# and the factor leaves over three orders of magnitude.
+# near-collinear, integer, constant-response and n < M designs was 0.82
+# of that unit (0.0045 on Kahan-type designs), and the factor leaves over
+# three orders of magnitude.
 SCORE_SLACK = 1024.0
 
-# Entries below which a block of the oracle's last two levels is not split.
-PAIR_BLOCK = 1 << 13
+# Entries per stacked [X_S, y] block that the oracle factors in one call.
+SUBSET_BATCH = 1 << 16
 
 # A Cholesky refit is kept only when its correction step moves no
 # coefficient by more than this fraction of the largest one.  The
@@ -464,16 +466,15 @@ def exhaustive_best_subset(
     step) has the smallest residual sum of squares; exact ties go to the
     lexicographically smallest subset.  It is found in two stages:
 
-    1. One depth-first modified Gram-Schmidt sweep over lexicographic
-       prefixes scores every subset: each prefix node projects its last
-       column out of the later columns and out of the residual, and the
-       last two levels are scored in vectorized blocks as the squared
-       norm of the updated residual.  Each score carries an error
-       allowance proportional to ||y||^2 / rho^2, where rho is the
-       smallest relative pivot on the subset's path; a column that keeps
-       at most ``FACTOR_SOLVE_RTOL`` of its norm adds no direction and
-       makes the allowance infinite; an all-zero column (a constant one
-       after standardizing) adds nothing and leaves rho unchanged.
+    1. Every subset S is scored by a Householder QR of [X_S, y], in
+       stacks of at most ``SUBSET_BATCH`` entries per LAPACK call, taken
+       from the R factor of the whole [X, y].  The score is R[M, M]^2
+       plus R[j, M]^2 for each position j of an all-zero column (a
+       constant one after standardizing); such columns are ordered
+       last, where each one's row of R holds only its share of the
+       residual.  It carries an allowance proportional to ||y||^2 /
+       rho^2, rho the smallest relative pivot |R_jj| / ||x_j|| of a
+       nonzero column, infinite when rho <= ``FACTOR_SOLVE_RTOL``.
     2. Only subsets whose score minus allowance is at or below the
        smallest score plus allowance are refit exactly, in lexicographic
        order, keeping the first strictly smallest RSS.  While the
@@ -482,10 +483,10 @@ def exhaustive_best_subset(
        than the best one, so the winner, its coefficients and its RSS are
        those of refitting every subset.
 
-    All C(p, M) subsets are scored; nothing is pruned.  The sweep holds
-    one work array of at most p x n entries per prefix level (at most
-    max(1, M - 1) of them) plus a few blocks of at most max(n p,
-    PAIR_BLOCK) entries each, and keeps only the near-best scores.
+    All C(p, M) subsets are scored; nothing is pruned.  When M >= n the
+    rows are padded with zeros so that R[M, M] exists, and every subset
+    with at least n nonconstant columns (centered, they span at most
+    n - 1 dimensions) has a negligible pivot and is refit.
 
     Raises ValueError when M is outside [0, p], and EnumerationCapError
     when the number of subsets exceeds ``cap``.
@@ -500,20 +501,17 @@ def exhaustive_best_subset(
         )
     X, y = problem.X, problem.y
     best_rss = math.inf
-    best_subset: tuple[int, ...] | None = None
+    best_subset: np.ndarray | None = None
     best_vals: np.ndarray | None = None
-    for index in _contenders(X, y, M):
-        subset = _unrank_combination(int(index), p, M)
-        idx = np.asarray(subset, dtype=int)
-        vals = min_norm_least_squares(X[:, idx], y)
-        r = y - X[:, idx] @ vals if M else y
+    for subset in _contenders(X, y, M):
+        vals = min_norm_least_squares(X[:, subset], y)
+        r = y - X[:, subset] @ vals if M else y
         val = float(r @ r)
         if val < best_rss:
             best_rss, best_subset, best_vals = val, subset, vals
 
     beta = np.zeros(p)
-    if best_subset:
-        beta[list(best_subset)] = best_vals
+    beta[best_subset] = best_vals
     return ScreeningResult(
         coef=SparseCoef.from_dense(beta, M),
         rss_trace=np.asarray([best_rss]),
@@ -522,114 +520,53 @@ def exhaustive_best_subset(
     )
 
 
-def _unrank_combination(index: int, p: int, M: int) -> tuple[int, ...]:
-    """The ``index``-th size-M subset of range(p) in combinations order."""
-    subset = []
-    j = 0
-    for left in range(M, 0, -1):
-        # comb(p - j - 1, left - 1) subsets start with column j.
-        while index >= (count := math.comb(p - j - 1, left - 1)):
-            index -= count
-            j += 1
-        subset.append(j)
-        j += 1
-    return tuple(subset)
-
-
-def _pivot_rows(Z: np.ndarray, norms: np.ndarray):
-    """Unit rows of ``Z`` and their squared relative pivots.
-
-    A row that keeps at most FACTOR_SOLVE_RTOL of its original norm
-    (``norms``) is dependent: its unit row is zero, so projecting it out
-    changes nothing, and its pivot is zero.  A row that was zero from the
-    start stays exactly zero, in the sweep and in a pivoted QR alike, so
-    it adds nothing to either and its pivot is one.
-    """
-    remaining = np.sqrt(np.einsum("...i,...i->...", Z, Z))
-    keep = remaining > FACTOR_SOLVE_RTOL * norms
-    inv = np.divide(1.0, remaining, out=np.zeros_like(remaining), where=keep)
-    zero = np.broadcast_to(norms == 0.0, remaining.shape).astype(float)
-    rel = np.divide(remaining, norms, out=zero, where=keep)
-    return Z * inv[..., None], rel * rel
-
-
 def _contenders(X: np.ndarray, y: np.ndarray, M: int) -> np.ndarray:
     """Stage 1 of the oracle: the subsets whose exact refit could be best.
 
-    Scores every size-M subset in one sweep and returns, in
-    ``itertools.combinations`` order, the indices of those whose score
-    minus allowance is at or below the smallest score plus allowance.
-    Work arrays hold the later columns as rows, with the chosen prefix
-    projected out.  Blocks are filtered against the smallest upper bound
-    seen so far as they arrive, so only near-best subsets are kept.
+    Scores every size-M subset and returns, as the rows of an int array
+    in ``itertools.combinations`` order, those whose score minus
+    allowance is at or below the smallest score plus allowance.  Batches
+    are filtered against the smallest upper bound seen so far as they
+    arrive, so only near-best subsets are kept.
     """
     n, p = X.shape
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    # All-zero columns go last: there each one leaves an identity
+    # reflector and its row of R holds only its share of the residual.
+    order = np.argsort(norms == 0.0, kind="stable")
+    norms = norms[order]
+    live = int(np.count_nonzero(norms))
+    norms[live:] = 1.0  # any value but 0: their pivot is set to 1 below
+    # [X, y] = Q F with Q orthogonal, so [X_S, y] and [F_S, F_y] have the
+    # same R: subsets are factored from the rows of F, at most p + 1 of
+    # them, padded with zeros to at least M + 1 so that R[M, M] exists.
+    F = np.linalg.qr(np.column_stack([X[:, order], y]), mode="r")
+    rows = max(F.shape[0], M + 1)
+    columns = np.zeros((p + 1, rows))
+    columns[:, : F.shape[0]] = F.T
     slack = SCORE_SLACK * (n + p) * np.finfo(float).eps * float(y @ y)
-    block = max(n * p, PAIR_BLOCK)
+    batch = max(1, SUBSET_BATCH // ((M + 1) * rows))
+    subsets = combinations(range(p), M)
     upper = math.inf
-    filled = 0
-    kept_index: list[np.ndarray] = []
+    kept_subsets: list[np.ndarray] = []
     kept_lower: list[np.ndarray] = []
-
-    def emit(scores, pivots):
-        nonlocal filled, upper
-        # A zero pivot (a dependent column on the path) gives infinity.
+    while chunk := list(islice(subsets, batch)):
+        k = len(chunk)
+        S = np.fromiter(chain.from_iterable(chunk), np.intp, k * M).reshape(k, M)
+        stack = columns[np.column_stack([S, np.full(k, p)])]
+        R = np.linalg.qr(stack.transpose(0, 2, 1), mode="r")
+        zero = S >= live
+        scores = R[:, M, M] ** 2 + np.sum(R[:, :M, M] ** 2, axis=1, where=zero)
+        rel = np.where(zero, 1.0, np.abs(np.diagonal(R, axis1=1, axis2=2)[:, :M]) / norms[S])
+        rho = np.min(rel, axis=1, initial=1.0)
         allowance = np.divide(
-            slack, pivots, out=np.full_like(pivots, np.inf), where=pivots > 0.0
+            slack, rho * rho, out=np.full(k, np.inf), where=rho > FACTOR_SOLVE_RTOL
         )
         upper = min(upper, float(np.min(scores + allowance)))
         lower = scores - allowance
-        keep = np.flatnonzero(lower <= upper)
-        if keep.size:
-            kept_index.append(keep + filled)
-            kept_lower.append(lower[keep])
-        filled += scores.size
-
-    def visit(Z, r, norms, pivot, left):
-        if left == 0:
-            emit(np.asarray([r @ r]), np.asarray([pivot]))
-        elif left == 1:
-            Q, rel2 = _pivot_rows(Z, norms)
-            F = r - (Q @ r)[:, None] * Q
-            emit(np.einsum("ij,ij->i", F, F), np.minimum(pivot, rel2))
-        elif left == 2:
-            _last_two_levels(Z, r, norms, pivot, block, emit)
-        else:
-            for j in range(Z.shape[0] - left + 1):
-                (q,), (rel2,) = _pivot_rows(Z[j : j + 1], norms[j : j + 1])
-                rest = Z[j + 1 :]
-                visit(
-                    rest - np.outer(rest @ q, q),
-                    r - (q @ r) * q,
-                    norms[j + 1 :],
-                    min(pivot, rel2),
-                    left - 1,
-                )
-
-    visit(np.ascontiguousarray(X.T), y, np.sqrt(np.einsum("ij,ij->j", X, X)), 1.0, M)
-    index = np.concatenate(kept_index)
-    return index[np.concatenate(kept_lower) <= upper]
-
-
-def _last_two_levels(Z, r, norms, pivot, block, emit):
-    """Score every pair of rows of ``Z`` (the last two levels) in blocks.
-
-    Each first pick j is projected out of the rows after it, for several
-    j at once: a block holds (first picks) x (later rows) x n entries,
-    at most ``block`` of them.
-    """
-    m, n = Z.shape
-    step = max(1, block // (n * (m - 1)))
-    for a in range(0, m - 1, step):
-        b = min(a + step, m - 1)
-        Q, rel2 = _pivot_rows(Z[a:b], norms[a:b])
-        E = r - (Q @ r)[:, None] * Q
-        later = Z[a + 1 :]
-        # W[i, k] is row a + 1 + k with row a + i projected out.
-        W = later - (Q @ later.T)[..., None] * Q[:, None]
-        U, rel2_pair = _pivot_rows(W, norms[a + 1 :])
-        W = E[:, None] - np.einsum("jkn,jn->jk", U, E)[..., None] * U
-        pair_scores = np.einsum("jkn,jkn->jk", W, W)
-        pair_pivots = np.minimum(np.minimum(pivot, rel2)[:, None], rel2_pair)
-        later_pick = np.arange(m - a - 1) >= np.arange(b - a)[:, None]
-        emit(pair_scores[later_pick], pair_pivots[later_pick])
+        keep = lower <= upper
+        kept_subsets.append(S[keep])
+        kept_lower.append(lower[keep])
+    kept = np.concatenate(kept_subsets)[np.concatenate(kept_lower) <= upper]
+    kept = np.sort(order[kept], axis=1)
+    return kept[np.lexsort(kept.T[::-1])] if M else kept

@@ -109,7 +109,7 @@ class ExperimentConfig:
 
     @property
     def true_support(self) -> tuple[int, ...]:
-        return tuple(range(self.model.d))
+        return tuple(self.model.true_model().support.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,6 +527,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("n", f"design file implies n = {n}")
         if "p" in raw and raw["p"] != p:
             raise ConfigError("p", f"design file implies p = {p}")
+        if "rho" in raw:
+            raise ConfigError("rho", "does not apply to a kronecker design")
         rho = 0.0
         design = DesignSpec(
             kind="kronecker", base_design_path=path, hadamard_order=order

@@ -202,7 +202,7 @@ def plain_best_subset(
 
 
 def assert_same_oracle(problem, M):
-    """The swept oracle gives the plain enumerator's answer bit for bit."""
+    """The oracle gives the plain enumerator's answer bit for bit."""
     res = exhaustive_best_subset(problem, M)
     ref = plain_best_subset(problem, M)
     np.testing.assert_array_equal(res.coef.active, ref.coef.active)

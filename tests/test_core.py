@@ -558,6 +558,15 @@ def _constant():
     return X, y
 
 
+def _two_constants():
+    # Zeroed columns at the front and in the middle: the oracle must move
+    # them behind the others before it factors a subset.
+    X, y, _ = _gaussian(49)
+    X[:, 0] = 2.0
+    X[:, 5] = -1.0
+    return X, y
+
+
 def _integer_ties():
     rng = np.random.default_rng(44)
     X = np.round(1.5 * rng.standard_normal((20, 8)))
@@ -601,6 +610,7 @@ ORACLE_CORPUS = {
     "gaussian-b": lambda: _gaussian(47, n=40, p=9, noise=2.0)[:2],
     "duplicated-column": _duplicated,
     "constant-column": _constant,
+    "two-constant-columns": _two_constants,
     "near-collinear-1e-4": _near_collinear(1e-4),
     "near-collinear-1e-7": _near_collinear(1e-7),
     "near-collinear-1e-10": _near_collinear(1e-10),

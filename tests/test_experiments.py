@@ -109,6 +109,20 @@ class TestConfig:
             )
         assert err.value.key == "n"
 
+    @pytest.mark.parametrize("rho", [0.0, 0.9, "abc"])
+    def test_kronecker_rejects_rho(self, tmp_path, rho):
+        path = tmp_path / "base.csv"
+        np.savetxt(path, np.ones((6, 10)), delimiter=",", fmt="%.0f")
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {
+                    "rho": rho, "d": 3, "sigma": 1.0, "beta_value": 1.0, "M": 5,
+                    "repetitions": 2, "methods": ["sis"], "seed": 3,
+                    "design": {"kind": "kronecker", "base_design_path": str(path), "hadamard_order": 2},
+                }
+            )
+        assert err.value.key == "rho"
+
 
 class TestEvaluateRepetition:
     def test_noiseless_identifiable_case(self):

@@ -1,4 +1,4 @@
-"""Property test: the swept oracle matches the plain enumerator."""
+"""Property test: the oracle matches the plain enumerator."""
 
 import numpy as np
 import pytest
@@ -18,9 +18,12 @@ def small_oracle_problems(draw):
     M = draw(st.integers(0, p))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((n, p))
-    shape = draw(st.sampled_from(["gaussian", "duplicate", "rounded", "near"]))
+    shape = draw(st.sampled_from(["gaussian", "duplicate", "rounded", "near", "constant"]))
     if shape == "duplicate":
         X[:, draw(st.integers(0, p - 1))] = X[:, 0]
+    elif shape == "constant":
+        for j in draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2, unique=True)):
+            X[:, j] = rng.standard_normal()
     elif shape == "rounded":
         X = np.round(X)
     elif shape == "near":
