@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .core import EnumerationCapError, exhaustive_best_subset
 from .experiments import (
+    BASIC_METHODS,
     config_from_dict,
     config_to_dict,
     method_catalog,
@@ -225,6 +226,12 @@ def cmd_screen(args, argv) -> int:
         return _fail(
             EXIT_INPUT, f"unknown method {args.method!r}; choose from {method_catalog()}"
         )
+    if method in BASIC_METHODS:
+        for flag, value in (("--rel-tol", args.rel_tol), ("--max-iter", args.max_iter)):
+            if value is not None:
+                return _fail(
+                    EXIT_INPUT, f"{flag} applies only to oss- and foss- methods, not {method!r}"
+                )
 
     requested_m = args.subset_size
     M = min(requested_m, X.shape[0] - 1, X.shape[1])

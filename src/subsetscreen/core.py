@@ -6,11 +6,10 @@ drivers with stopping rules, the multi-start scheme over forward-stepwise
 prefixes, and an exhaustive best-subset oracle for small problems.
 
 Thresholding in the update maps finds the M-th magnitude by a
-partition, in O(p), and a refit solves the normal equations of the set
-by Cholesky, with one correction step of the semi-normal equations,
-falling back to minimum-norm least squares on near-dependent or
-ill-conditioned sets.  The gradient X'(y - X beta) and the objective
-are formed from the residual.
+partition, in O(p), and a refit is the minimum-norm least-squares
+solution on the set (one SVD-based solve, the same for full-rank and
+dependent sets).  The gradient X'(y - X beta) and the objective are
+formed from the residual.
 
 The oracle scores every subset S by a Householder QR of [X_S, y], many
 subsets per LAPACK call (the last diagonal entry of R is the residual
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .numerics import FACTOR_SOLVE_RTOL, StandardizedProblem, min_norm_least_squares
 
@@ -66,24 +64,15 @@ ENUMERATION_CAP = 2_000_000
 # (n + p) * eps * ||y||^2 times the subset's condition.  1 / rho^2 stands
 # in for that condition without bounding it (a subset's smallest
 # singular value can sit far below its smallest pivot), so the margin is
-# empirical: the largest gap seen on random, duplicated, constant,
-# near-collinear, integer, constant-response and n < M designs was 0.82
-# of that unit (0.0045 on Kahan-type designs), and the factor leaves over
-# three orders of magnitude.
+# empirical: against the SVD refit of min_norm_least_squares, the
+# largest gap seen on random, duplicated, constant, near-collinear,
+# integer, constant-response and n < M designs was 0.81 of that unit
+# (0.0019 on Kahan-type designs), and the factor leaves over three
+# orders of magnitude.
 SCORE_SLACK = 1024.0
 
 # Entries per stacked [X_S, y] block that the oracle factors in one call.
 SUBSET_BATCH = 1 << 16
-
-# A Cholesky refit is kept only when its correction step moves no
-# coefficient by more than this fraction of the largest one.  The
-# correction is about the error of the first solve, and what is left
-# after it is about that error squared (relative), so a kept refit is
-# within roughly 1e-10 of the least-squares solution.  A larger
-# correction marks a set too ill-conditioned for the normal equations
-# (its condition can far exceed what its smallest pivot shows), and the
-# set goes to min_norm_least_squares.
-REFINE_RTOL = 1e-5
 
 
 class EnumerationCapError(ValueError):
@@ -247,42 +236,15 @@ def _thresholded_set(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarr
 def refit_subset(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
     """Least-squares fit on the given columns, zeros elsewhere.
 
-    A set of at most ``bound`` columns is solved by Cholesky of its Gram
-    block X_A'X_A, followed by one correction step of the semi-normal
-    equations (the residual is formed from X, so the result agrees with a
-    QR solution to far better than the normal equations alone, whose
-    error grows with the square of the set's condition number).  Larger
-    sets, sets whose Cholesky factor has a diagonal entry at or below
-    ``FACTOR_SOLVE_RTOL`` * sqrt(n), that fraction of a standardized
-    column's norm, and sets whose correction exceeds ``REFINE_RTOL`` are
-    solved by ``min_norm_least_squares``, so near-dependent and
-    rank-deficient sets keep minimum-norm semantics.
+    The values are ``min_norm_least_squares`` of y on the columns, so
+    rank-deficient and near-dependent sets keep minimum-norm semantics;
+    ``bound`` is only the sparsity budget stored with the result.
     """
     active = np.asarray(active, dtype=int)
     beta = np.zeros(problem.p)
     if active.size:
-        values = _cholesky_refit(problem, active) if active.size <= bound else None
-        if values is None:
-            values = min_norm_least_squares(problem.X[:, active], problem.y)
-        beta[active] = values
+        beta[active] = min_norm_least_squares(problem.X[:, active], problem.y)
     return SparseCoef.from_dense(beta, bound)
-
-
-def _cholesky_refit(problem: StandardizedProblem, active: np.ndarray):
-    """Corrected semi-normal solution on ``active``, or None when the
-    Cholesky factor of its Gram block fails, has a pivot too small to
-    trust, or needs a correction above ``REFINE_RTOL``."""
-    # LAPACK is called directly: the checking wrappers cost more than
-    # the factorization of a block this small.
-    XA = problem.X[:, active]
-    U, info = dpotrf(XA.T @ XA, lower=0, clean=0)
-    if info != 0 or np.diagonal(U).min() <= FACTOR_SOLVE_RTOL * math.sqrt(problem.n):
-        return None
-    values, _ = dpotrs(U, problem.xty[active])
-    correction, _ = dpotrs(U, XA.T @ (problem.y - XA @ values))
-    if np.abs(correction).max() > REFINE_RTOL * np.abs(values).max():
-        return None
-    return values + correction
 
 
 def run(

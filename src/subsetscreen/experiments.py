@@ -551,11 +551,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(methods_raw, list) or not methods_raw:
         raise ConfigError("methods", "must be a non-empty list")
     methods = []
+    parsed = []
     for method in methods_raw:
         if not isinstance(method, str):
             raise ConfigError("methods", "entries must be strings")
         try:
-            _split_method(method)
+            parsed.append(_split_method(method))
         except ValueError as exc:
             raise ConfigError("methods", str(exc)) from exc
         if method.lower() in methods:
@@ -565,8 +566,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     rel_tol = require_number("rel_tol") if "rel_tol" in raw else DEFAULT_REL_TOL
     if rel_tol < 0.0:
         raise ConfigError("rel_tol", "must be nonnegative")
+    # rel_tol stays accepted without an iterated method: every manifest
+    # carries it, and a manifest must replay.
     max_iter = require_int("max_iter", 1) if "max_iter" in raw else None
+    if max_iter is not None and all(alg is None for alg, _ in parsed):
+        raise ConfigError("max_iter", "applies only to oss- and foss- methods")
     isis_batch = require_int("isis_batch", 1) if "isis_batch" in raw else None
+    if isis_batch is not None and all(base != "isis" for _, base in parsed):
+        raise ConfigError("isis_batch", "applies only to isis-based methods")
     if isis_batch is not None and isis_batch > M:
         raise ConfigError("isis_batch", "must not exceed M")
 

@@ -77,26 +77,11 @@ def _prefix_coef(p: int, active, values, size: int) -> SparseCoef:
     return SparseCoef.from_dense(beta, size)
 
 
-def _eligible_scores(problem: StandardizedProblem, scores: np.ndarray) -> np.ndarray:
-    scores = scores.astype(float, copy=True)
-    scores[problem.degenerate] = -np.inf
-    return scores
-
-
 def sis(problem: StandardizedProblem, M: int) -> SparseCoef:
-    """Marginal-correlation screening: top-M |X'y| with a refit.
-
-    The active set holds the M indices of largest |X'y| (ties toward the
-    smaller index, flagged degenerate columns excluded); coefficients are
-    the minimum-norm least-squares refit on that set.
-    """
-    if not 1 <= M <= problem.p:
-        raise ValueError("M must be in [1, p]")
-    scores = _eligible_scores(problem, np.abs(problem.xty))
-    order = np.argsort(-scores, kind="stable")
-    take = min(M, int(np.sum(np.isfinite(scores))))
-    active = np.sort(order[:take])
-    return refit_subset(problem, active, M)
+    """Marginal-correlation screening: the top M of |X'y| with a refit,
+    which is the first round of ``isis`` admitting all M at once (ties
+    toward the smaller index, flagged degenerate columns excluded)."""
+    return isis(problem, M, batch=M)
 
 
 def isis(problem: StandardizedProblem, M: int, batch: int | None = None) -> SparseCoef:
@@ -106,7 +91,7 @@ def isis(problem: StandardizedProblem, M: int, batch: int | None = None) -> Spar
     current residual r, admits the top ``batch`` (fewer on the last
     round), and refits least squares on the union, until exactly M
     columns are active.  ``batch=None`` uses max(1, ceil(M/5));
-    ``batch=M`` reduces to single-shot screening.
+    ``batch=M`` is single-shot screening, ``sis``.
     """
     if not 1 <= M <= problem.p:
         raise ValueError("M must be in [1, p]")
@@ -116,12 +101,14 @@ def isis(problem: StandardizedProblem, M: int, batch: int | None = None) -> Spar
         raise ValueError("batch must be in [1, M]")
 
     active = np.zeros(0, dtype=int)
-    residual = problem.y
     coef = SparseCoef.zeros(problem.p, M)
+    gains = problem.xty  # X'r for the first residual, r = y
     while active.size < M:
-        scores = _eligible_scores(problem, np.abs(problem.X.T @ residual))
         if active.size:
-            scores[active] = -np.inf
+            gains = problem.X.T @ (problem.y - problem.X[:, active] @ coef.beta[active])
+        scores = np.abs(gains)
+        scores[problem.degenerate] = -np.inf
+        scores[active] = -np.inf
         eligible = int(np.sum(np.isfinite(scores)))
         take = min(batch, M - active.size, eligible)
         if take == 0:
@@ -129,7 +116,6 @@ def isis(problem: StandardizedProblem, M: int, batch: int | None = None) -> Spar
         order = np.argsort(-scores, kind="stable")
         active = np.sort(np.concatenate([active, order[:take]]))
         coef = refit_subset(problem, active, M)
-        residual = problem.y - problem.X[:, active] @ coef.beta[active]
     return coef
 
 
@@ -153,10 +139,11 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
     upper-triangular factor R and Q'y and solves each prefix by one
     back-substitution on their leading block: O(k^2) for the size-k
     prefix on top of the O(n p) of the step itself, instead of a fresh
-    O(n k^2) pivoted QR.  From the first step whose diagonal entry of R
-    falls to ``FACTOR_SOLVE_RTOL`` times the largest one or below, that
-    prefix and every later one are refit by ``min_norm_least_squares``
-    instead, so near-dependent prefixes keep minimum-norm semantics.
+    O(n k^2) least-squares solve.  From the first step whose diagonal
+    entry of R falls to ``FACTOR_SOLVE_RTOL`` times the largest one or
+    below, that prefix and every later one are refit by
+    ``min_norm_least_squares`` instead, so near-dependent prefixes keep
+    minimum-norm semantics.
     """
     n, p = problem.n, problem.p
     if not 1 <= max_size <= min(n - 1, p):

@@ -5,7 +5,8 @@ problem into the centered, equal-column-norm convention (split into the
 design-only part, ``prepare_design``, and the response part, ``bind``),
 the largest eigenvalue of X'X by Lanczos from a fixed random start (and
 by the older power iteration, kept for comparison), and minimum-norm
-least squares built on rank-revealing QR.
+least squares by one SVD-based solve, the package's only least-squares
+solver outside the stepwise path's back-substitution.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, qr, solve_triangular
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "PreparedDesign",
@@ -40,13 +41,14 @@ LANCZOS_RTOL = 1e-13
 # Initial number of Lanczos basis vectors; the basis doubles as needed.
 LANCZOS_BLOCK = 32
 
-# R diagonals below this fraction of the largest one mark dependent columns.
+# Singular values at or below this fraction of the largest one mark a
+# dependent direction in min_norm_least_squares.
 RANK_RTOL = 1e-10
 
 # A Gram-Schmidt factor is trusted only while every column keeps more than
 # this fraction of its norm after the earlier columns are projected out.
-# Near RANK_RTOL the factor and the pivoted QR of min_norm_least_squares
-# can disagree about the rank through rounding alone; five orders of
+# Near RANK_RTOL the factor and the singular values min_norm_least_squares
+# judges the rank by can disagree through rounding alone; five orders of
 # magnitude above it a column clearly adds a direction.  Callers defer
 # anything at or below it to min_norm_least_squares.
 FACTOR_SOLVE_RTOL = math.sqrt(RANK_RTOL)
@@ -356,10 +358,11 @@ def _random_start(p: int) -> np.ndarray:
 def min_norm_least_squares(A, y) -> np.ndarray:
     """Minimum-Euclidean-norm minimizer of ||y - A b||.
 
-    Uses column-pivoted QR to detect the numerical rank; when columns are
-    dependent the basic solution is completed to the minimum-norm one via
-    a second orthogonal factorization, reproducing the Moore-Penrose
-    pseudoinverse solution.
+    The Moore-Penrose pseudoinverse solution at numerical rank: one
+    SVD-based LAPACK solve (xGELSD, through ``np.linalg.lstsq``) that
+    treats singular values at or below ``RANK_RTOL`` times the largest
+    one as zero, so dependent columns share their coefficient instead of
+    one of them being dropped.
 
     Parameters
     ----------
@@ -381,24 +384,4 @@ def min_norm_least_squares(A, y) -> np.ndarray:
         )
     if p == 0:
         return np.zeros(0)
-
-    Q, R, piv = qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    dmax = float(diag.max(initial=0.0))
-    rank = int(np.sum(diag > RANK_RTOL * dmax)) if dmax > 0.0 else 0
-    beta = np.zeros(p)
-    if rank == 0:
-        return beta
-
-    rhs = Q[:, :rank].T @ y
-    if rank == p:
-        z = solve_triangular(R, rhs)
-    else:
-        # Complete the factorization: QR of the trapezoidal block's
-        # transpose gives the minimum-norm completion over the dependent
-        # columns instead of a basic (zero-padded) solution.
-        Q2, R2 = qr(R[:rank, :].T, mode="economic")
-        w = solve_triangular(R2.T, rhs, lower=True)
-        z = Q2 @ w
-    beta[piv] = z
-    return beta
+    return np.linalg.lstsq(A, y, rcond=RANK_RTOL)[0]

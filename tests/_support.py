@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 
 from subsetscreen import standardize
 from subsetscreen.core import (
@@ -18,7 +19,7 @@ from subsetscreen.core import (
     multi_start_window,
     run,
 )
-from subsetscreen.numerics import StandardizedProblem, min_norm_least_squares
+from subsetscreen.numerics import RANK_RTOL, StandardizedProblem, min_norm_least_squares
 
 
 def jacobi_max_eigenvalue(S, sweeps=60, tol=1e-14):
@@ -95,12 +96,15 @@ def reference_oss_step(problem: StandardizedProblem, coef: SparseCoef) -> Sparse
 
 
 def reference_refit(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
-    """Minimum-norm QR refit on ``active``, the reference of the Cholesky
-    refit in ``refit_subset``."""
+    """Least-squares refit on ``active`` by a complete orthogonal
+    factorization (LAPACK xGELSY: pivoted QR, then RZ), a solver
+    independent of the SVD solve in ``refit_subset``."""
     active = np.asarray(active, dtype=int)
     beta = np.zeros(problem.p)
     if active.size:
-        beta[active] = min_norm_least_squares(problem.X[:, active], problem.y)
+        beta[active] = scipy.linalg.lstsq(
+            problem.X[:, active], problem.y, cond=RANK_RTOL, lapack_driver="gelsy"
+        )[0]
     return SparseCoef.from_dense(beta, bound)
 
 

@@ -137,6 +137,19 @@ class TestScreen:
         result = json.loads(out.read_text())
         assert result["selected"][0] == 2
 
+    @pytest.mark.parametrize("method", ["sis", "isis", "fs"])
+    @pytest.mark.parametrize("flag", [["--rel-tol", "1e-8"], ["--max-iter", "5"]])
+    def test_iteration_flag_on_a_basic_method_exits_2(self, tmp_path, capsys, method, flag):
+        rng = np.random.default_rng(73)
+        X = rng.standard_normal((10, 3))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        out = tmp_path / "result.json"
+        for prefix, code in (("", 2), ("foss-", 0)):
+            argv = ["screen", x_path, y_path, "--method", prefix + method, "-M", "1"]
+            assert main([*argv, *flag, "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert flag[0] in capsys.readouterr().err
+
     def test_wrong_length_response_exits_3_without_output(self, tmp_path):
         rng = np.random.default_rng(72)
         X = rng.standard_normal((10, 3))
@@ -381,6 +394,13 @@ class TestSimulate:
             assert main(["simulate", config, "--out", str(tmp_path / "run")]) == 0
         messages = [str(w.message) for w in caught]
         assert sum("other than +-1" in m for m in messages) == 1, messages
+
+    def test_max_iter_without_an_iterated_method_exits_2(self, tmp_path, capsys):
+        config = self.base_config(tmp_path, methods=["sis", "fs"])
+        out = tmp_path / "run"
+        assert main(["simulate", config, "--max-iter", "5", "--out", str(out)]) == 2
+        assert "max_iter" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_exits_2(self, tmp_path, workers):

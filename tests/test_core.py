@@ -186,8 +186,8 @@ class TestSteps:
 
 def _near_collinear_refit_case(seed, rho):
     # The last column leaves a fraction of about rho of its norm outside
-    # the span of two others, so the Cholesky factor of the set's Gram
-    # block has a relative pivot of about rho.
+    # the span of two others, so the set's triangular factor has a
+    # relative pivot of about rho.
     rng = np.random.default_rng(seed)
     n, k = (40, 6) if seed % 2 else (96, 10)
     X = rng.standard_normal((n, k + 3))
@@ -224,8 +224,8 @@ REFIT_CASES = {
 
 
 class TestStepEngine:
-    """The partition step and the Cholesky refit against their
-    stable-argsort and QR references."""
+    """The partition step and the refit against their stable-argsort
+    and complete-orthogonal-factorization references."""
 
     @pytest.mark.parametrize("case", ["random", "kronecker"])
     def test_step_matches_reference_step(self, case):
@@ -250,21 +250,6 @@ class TestStepEngine:
         # rounds by more than 1e-12 of the RSS on the worst of these sets.
         exact_got, exact_ref = exact_rss(prob, got), exact_rss(prob, ref)
         assert abs(exact_got - exact_ref) <= 1e-12 * exact_ref
-
-    def test_refit_takes_the_cholesky_path_above_the_cutoff(self, monkeypatch):
-        calls = count_min_norm_calls(monkeypatch, core)
-        for seed in range(12):
-            prob, active = _near_collinear_refit_case(seed, 1e-3)
-            refit_subset(prob, active, active.size)
-        assert calls == []
-
-    def test_refit_falls_back_on_dependent_and_over_budget_sets(self, monkeypatch):
-        prob, _ = _duplicated_problem(24)
-        calls = count_min_norm_calls(monkeypatch, core)
-        for active, bound in (([1, 4, 18], 3), ([0, 1, 2, 3], 2)):
-            got = refit_subset(prob, active, bound)
-            assert got.beta.tobytes() == reference_refit(prob, active, bound).beta.tobytes()
-        assert calls == [3, 4]
 
 
 def _active_stabilization(problem, init, M, step, cap=400):
@@ -655,7 +640,7 @@ class TestOracleMatchesPlainEnumeration:
         np.testing.assert_array_equal(prob.X[:, 10], prob.X[:, 11])
         res = exhaustive_best_subset(prob, 4)
         assert tuple(res.coef.active) == (5, 10, 20, 25)
-        assert rss(prob, reference_refit(prob, [5, 11, 20, 25], 4)) == res.final_rss
+        assert rss(prob, refit_subset(prob, [5, 11, 20, 25], 4)) == res.final_rss
         assert_same_oracle(prob, 4)
 
     @pytest.mark.parametrize("case", ["constant", "zero", "duplicated"])

@@ -64,6 +64,11 @@ class TestConfig:
             ({"beta_value": float("inf")}, "beta_value"),
             ({"rel_tol": float("nan")}, "rel_tol"),
             ({"methods": ["sis", "SIS"]}, "methods"),
+            # Settings no listed method would use.
+            ({"max_iter": 5}, "max_iter"),
+            ({"methods": ["sis", "isis", "fs"], "max_iter": 5}, "max_iter"),
+            ({"isis_batch": 2}, "isis_batch"),
+            ({"methods": ["foss-sis", "fs"], "isis_batch": 2}, "isis_batch"),
         ],
     )
     def test_violations_name_the_key(self, overrides, key):
@@ -76,6 +81,25 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
         assert err.value.key == key
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"methods": ["oss-sis"], "max_iter": 5},
+            {"methods": ["sis", "foss-fs"], "max_iter": 5},
+            {"methods": ["isis"], "isis_batch": 2},
+            {"methods": ["fs", "foss-isis"], "isis_batch": 2},
+            # Every manifest carries rel_tol, iterated methods or not.
+            {"methods": ["sis"], "rel_tol": 1e-6},
+        ],
+    )
+    def test_settings_a_listed_method_uses_are_accepted(self, overrides):
+        raw = {
+            "n": 40, "p": 15, "d": 3, "rho": 0.0, "sigma": 1.0,
+            "beta_value": 3.0, "M": 6, "repetitions": 4, "seed": 77, **overrides,
+        }
+        config = config_from_dict(raw)
+        assert config_from_dict(config_to_dict(config)) == config
 
     def test_missing_key_named(self):
         with pytest.raises(ConfigError) as err:

@@ -255,6 +255,21 @@ class TestMinNormLeastSquares:
             ref, *_ = np.linalg.lstsq(A, y, rcond=None)
             np.testing.assert_allclose(mine, ref, atol=1e-8)
 
+    @pytest.mark.parametrize("distance, expected", [(1e-12, [0.5, 0.5]), (1e-8, [1.0, 0.0])])
+    def test_rank_rule(self, distance, expected):
+        # b = a + distance * ||a|| * u with u a unit vector orthogonal to a:
+        # the singular values of [a, b] are about sqrt(2) ||a|| and
+        # distance * ||a|| / sqrt(2), a ratio of distance / 2 against
+        # RANK_RTOL = 1e-10.  y = a is fit exactly by (1, 0); a dependent
+        # pair splits it evenly instead.
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal(30)
+        u = rng.standard_normal(30)
+        u -= (u @ a) / (a @ a) * a
+        u /= np.linalg.norm(u)
+        A = np.column_stack([a, a + distance * np.linalg.norm(a) * u])
+        np.testing.assert_allclose(min_norm_least_squares(A, a), expected, atol=1e-6)
+
     def test_empty_and_zero_matrices(self):
         assert min_norm_least_squares(np.zeros((3, 0)), np.zeros(3)).shape == (0,)
         np.testing.assert_array_equal(
