@@ -57,7 +57,7 @@ def _fail(code: int, message: str) -> int:
 def _read_rows(path):
     rows = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not _is_blank(row):
                     rows.append((lineno, row))
@@ -96,7 +96,7 @@ def read_matrix_csv(path) -> np.ndarray:
 def _read_matrix_fast(path) -> np.ndarray | None:
     """``np.loadtxt`` after the same header decision; None on any failure."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             first = next((row for row in reader if not _is_blank(row)), None)
             skip = reader.line_num
@@ -106,7 +106,7 @@ def _read_matrix_fast(path) -> np.ndarray | None:
             warnings.simplefilter("error")  # loadtxt warns on input without data
             data = np.loadtxt(
                 path, delimiter=",", ndmin=2, comments=None, dtype=float,
-                skiprows=0 if _is_numeric_row(first) else skip,
+                skiprows=0 if _is_numeric_row(first) else skip, encoding="utf-8-sig",
             )
     except (OSError, ValueError, csv.Error, UserWarning):
         return None
@@ -130,17 +130,9 @@ def _read_matrix_rows(path) -> np.ndarray:
         try:
             data.append([float(cell) for cell in row])
         except ValueError:
-            bad = next(cell for cell in row if not _is_float(cell))
+            bad = next(cell for cell in row if not _is_numeric_row([cell]))
             raise InputFileError(path, lineno, f"not a number: {bad!r}") from None
     return np.asarray(data)
-
-
-def _is_float(cell) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
 
 
 def read_vector_csv(path) -> np.ndarray:

@@ -545,7 +545,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if M > min(n - 1, p):
         raise ConfigError("M", f"must not exceed min(n - 1, p) = {min(n - 1, p)}")
     repetitions = require_int("repetitions", 1)
-    seed = require_int("seed")
+    seed = require_int("seed", 0)
 
     methods_raw = raw.get("methods")
     if not isinstance(methods_raw, list) or not methods_raw:

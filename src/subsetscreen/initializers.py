@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .core import SparseCoef, refit_subset
 from .numerics import FACTOR_SOLVE_RTOL, StandardizedProblem, min_norm_least_squares
@@ -34,7 +33,7 @@ NORM_RECOMPUTE_RTOL2 = 1e-8
 # column differently by its position), far less than this.
 TIE_RTOL = 1e-12
 
-# Back-substitution on the stepwise path's own triangular factor is used
+# The running inverse of the stepwise path's own triangular factor is used
 # only while every diagonal entry of that factor exceeds FACTOR_SOLVE_RTOL
 # times the largest one.  Selection admits a column down to a relative
 # residual norm of sqrt(SPAN_RTOL2) = RANK_RTOL, so every prefix from the
@@ -135,21 +134,22 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
     builds a QR factorization of the selected columns in selection
     order: each new basis vector is the chosen column minus its
     projection on the basis so far, projected once more to keep the
-    basis orthogonal (classical Gram-Schmidt twice).  The path keeps the
-    upper-triangular factor R and Q'y and solves each prefix by one
-    back-substitution on their leading block: O(k^2) for the size-k
-    prefix on top of the O(n p) of the step itself, instead of a fresh
-    O(n k^2) least-squares solve.  From the first step whose diagonal
-    entry of R falls to ``FACTOR_SOLVE_RTOL`` times the largest one or
-    below, that prefix and every later one are refit by
-    ``min_norm_least_squares`` instead, so near-dependent prefixes keep
-    minimum-norm semantics.
+    basis orthogonal (classical Gram-Schmidt twice).  The path keeps
+    T = R^-1 one column per step (its leading block inverts R's), so each
+    prefix's coefficients are the last prefix's plus T's new column times
+    the new entry of Q'y: O(k^2) for the size-k prefix on top of the
+    O(n p) of the step, instead of a fresh O(n k^2) least-squares solve.
+    From the first step whose diagonal entry of R falls to
+    ``FACTOR_SOLVE_RTOL`` times the largest one or below, that prefix and
+    every later one are refit by ``min_norm_least_squares`` instead, so
+    near-dependent prefixes keep minimum-norm semantics.
     """
     n, p = problem.n, problem.p
     if not 1 <= max_size <= min(n - 1, p):
         raise ValueError("max_size must be in [1, min(n - 1, p)]")
 
     order, _, R, qty, truncated = _greedy_factor(problem, max_size)
+    T, x = np.zeros_like(R), np.zeros_like(qty)  # R^-1; R x = Q'y in selection order
     steps: list[FsStep] = []
     factor_usable = True
     for k in range(len(order)):
@@ -159,10 +159,10 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
         # so the first diagonal entry is the largest.
         factor_usable = factor_usable and R[k, k] > FACTOR_SOLVE_RTOL * R[0, 0]
         if factor_usable:
-            # R x = Q'y as solve_triangular solves it (LAPACK on the
-            # Fortran-ordered transpose), without its input checks.
-            values, _ = dtrtrs(R[: k + 1, : k + 1].T, qty[: k + 1], lower=1, trans=1)
-            values = values[by_index]
+            T[k, k] = 1.0 / R[k, k]
+            T[:k, k] = -(T[:k, :k] @ R[:k, k]) / R[k, k]
+            x[: k + 1] += T[: k + 1, k] * qty[k]
+            values = x[: k + 1][by_index]
         else:
             values = min_norm_least_squares(problem.X[:, active], problem.y)
         steps.append(

@@ -6,7 +6,7 @@ design-only part, ``prepare_design``, and the response part, ``bind``),
 the largest eigenvalue of X'X by Lanczos from a fixed random start (and
 by the older power iteration, kept for comparison), and minimum-norm
 least squares by one SVD-based solve, the package's only least-squares
-solver outside the stepwise path's back-substitution.
+solver outside the stepwise path's running inverse of its own factor.
 """
 
 from __future__ import annotations

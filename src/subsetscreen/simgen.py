@@ -161,15 +161,19 @@ def kronecker_design(H, D) -> np.ndarray:
 def load_base_design(path) -> np.ndarray:
     """Read a two-level base design from a headerless CSV of +-1 entries.
 
-    Raises ValueError naming the file and line of a cell that is not a
-    number or not finite; warns (``TwoLevelWarning``) when some finite
-    entry is not +-1.
+    Raises ValueError naming the file and line of a row of another width
+    than the first, or of a cell that is not a number or not finite;
+    warns (``TwoLevelWarning``) when some finite entry is not +-1.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or not any(cell.strip() for cell in row):
                 continue
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(rows[0])} columns, found {len(row)}"
+                )
             try:
                 values = [float(cell) for cell in row]
             except ValueError as exc:
@@ -179,9 +183,6 @@ def load_base_design(path) -> np.ndarray:
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows (widths {sorted(widths)})")
     D = np.asarray(rows)
     if not np.all(np.abs(D) == 1.0):
         warnings.warn(f"{path}: entries other than +-1 present", TwoLevelWarning, stacklevel=2)

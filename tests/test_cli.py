@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ READABLE_CSV = [
     ("quoted_cells", '"1","2"\n3,"4"\n', False),
     ("quoted_header", '"a,1",b\n1,2\n', True),
     ("whitespace_only_row", "1,2\n , \n3,4\n", False),
+    ("bom", "\ufeff1.0,2\n3,4\n", True),
 ]
 
 MALFORMED_CSV = [
@@ -166,6 +168,16 @@ class TestScreen:
         assert main(["screen", str(x_path), str(y_path)]) == 2
         err = capsys.readouterr().err
         assert "x.csv:2" in err
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        rng = np.random.default_rng(74)
+        X = rng.standard_normal((5, 2))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0] - X[:, 1])
+        for path in map(Path, (x_path, y_path)):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out = tmp_path / "result.json"
+        assert main(["screen", x_path, y_path, "--method", "fs", "-M", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == 5
 
     def test_recovers_known_support_and_test_error(self, tmp_path):
         n, p, d, sigma = 230, 50, 5, 1.0
@@ -342,6 +354,13 @@ class TestSimulate:
         assert main(["simulate", config, "--out", str(a)]) == 0
         assert main(["simulate", config, "--out", str(b), "--seed", "6"]) == 0
         assert (a / "repetitions.csv").read_bytes() != (b / "repetitions.csv").read_bytes()
+
+    def test_negative_seed_override_exits_2_naming_the_key(self, tmp_path, capsys):
+        config = self.base_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["simulate", config, "--seed", "-1", "--out", str(out)]) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonfinite_sigma_names_key(self, tmp_path, capsys):
         config = self.base_config(tmp_path, sigma=float("nan"))

@@ -69,6 +69,8 @@ class TestConfig:
             ({"methods": ["sis", "isis", "fs"], "max_iter": 5}, "max_iter"),
             ({"isis_batch": 2}, "isis_batch"),
             ({"methods": ["foss-sis", "fs"], "isis_batch": 2}, "isis_batch"),
+            # Out of range, though an integer.
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_violations_name_the_key(self, overrides, key):

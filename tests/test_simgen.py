@@ -180,6 +180,17 @@ class TestBaseDesignFile:
         with pytest.raises(ValueError, match="bad.csv:2: non-finite entry"):
             load_base_design(path)
 
+    def test_ragged_row_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,1\n\n-1,1,1\n")
+        with pytest.raises(ValueError, match="bad.csv:3: expected 2 columns, found 3"):
+            load_base_design(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "base.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,-1\n-1,1\n")
+        np.testing.assert_array_equal(load_base_design(path), [[1.0, -1.0], [-1.0, 1.0]])
+
     def test_bad_cell_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,1\n1,x\n")
