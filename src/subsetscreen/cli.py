@@ -10,11 +10,9 @@ the library is 0-based internally.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +31,7 @@ from .experiments import (
     write_repetition_records,
 )
 from .numerics import standardize
+from .simgen import InputFileError, read_matrix_csv, read_vector_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,109 +39,33 @@ EXIT_DIMENSION = 3
 EXIT_CAP = 4
 
 
-class InputFileError(Exception):
-    """Malformed input file; carries the path and line number."""
+class _Failure(Exception):
+    """Ends a command with ``error: message`` on stderr and the exit code."""
 
-    def __init__(self, path, line, message):
-        super().__init__(f"{path}:{line}: {message}")
-        self.path = path
-        self.line = line
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-def _read_rows(path):
-    rows = []
+def _read_xy(x_path, y_path):
+    """Read X and y; exit 2 on a bad file, 3 when their row counts differ."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not _is_blank(row):
-                    rows.append((lineno, row))
-    except OSError as exc:
-        raise InputFileError(path, 0, exc.strerror or str(exc)) from exc
-    if not rows:
-        raise InputFileError(path, 1, "no data rows")
-    return rows
-
-
-def _is_blank(row) -> bool:
-    return not row or not any(cell.strip() for cell in row)
-
-
-def _is_numeric_row(row) -> bool:
-    try:
-        [float(cell) for cell in row]
-    except ValueError:
-        return False
-    return True
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a numeric CSV matrix; a non-numeric first row is a header.
-
-    Blank rows are skipped.  Files of plain numbers with a consistent
-    width go through ``np.loadtxt``; anything it does not read (quoted
-    cells, ragged rows, a cell that is not a number, an unreadable file)
-    falls back to a row-by-row parser that reads the same values and
-    raises ``InputFileError`` naming the path and line of the problem.
-    """
-    fast = _read_matrix_fast(path)
-    return fast if fast is not None else _read_matrix_rows(path)
-
-
-def _read_matrix_fast(path) -> np.ndarray | None:
-    """``np.loadtxt`` after the same header decision; None on any failure."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            first = next((row for row in reader if not _is_blank(row)), None)
-            skip = reader.line_num
-        if first is None:
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt warns on input without data
-            data = np.loadtxt(
-                path, delimiter=",", ndmin=2, comments=None, dtype=float,
-                skiprows=0 if _is_numeric_row(first) else skip, encoding="utf-8-sig",
-            )
-    except (OSError, ValueError, csv.Error, UserWarning):
-        return None
-    return np.ascontiguousarray(data) if data.size else None
-
-
-def _read_matrix_rows(path) -> np.ndarray:
-    """The row-by-row reader behind ``read_matrix_csv``."""
-    rows = _read_rows(path)
-    if not _is_numeric_row(rows[0][1]):
-        rows = rows[1:]
-        if not rows:
-            raise InputFileError(path, 2, "no data rows after the header")
-    width = len(rows[0][1])
-    data = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise InputFileError(
-                path, lineno, f"expected {width} columns, found {len(row)}"
-            )
-        try:
-            data.append([float(cell) for cell in row])
-        except ValueError:
-            bad = next(cell for cell in row if not _is_numeric_row([cell]))
-            raise InputFileError(path, lineno, f"not a number: {bad!r}") from None
-    return np.asarray(data)
-
-
-def read_vector_csv(path) -> np.ndarray:
-    """Read a single-column numeric CSV (optional header)."""
-    matrix = read_matrix_csv(path)
-    if matrix.shape[1] != 1:
-        raise InputFileError(
-            path, 1, f"expected a single column, found {matrix.shape[1]}"
+        X = read_matrix_csv(x_path)
+        y = read_vector_csv(y_path)
+    except InputFileError as exc:
+        raise _Failure(EXIT_INPUT, str(exc)) from None
+    if y.shape[0] != X.shape[0]:
+        raise _Failure(
+            EXIT_DIMENSION,
+            f"{y_path}: has {y.shape[0]} rows but {x_path} has {X.shape[0]}",
         )
-    return matrix[:, 0]
+    return X, y
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_manifest(path, command, config, outputs, argv) -> None:
@@ -154,9 +77,17 @@ def _write_manifest(path, command, config, outputs, argv) -> None:
         "config": config,
         "outputs": {k: str(v) for k, v in outputs.items()},
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
+
+
+def _write_result(out, result, config, argv) -> None:
+    """Write a command's result JSON, and its manifest beside it."""
+    _write_json(out, result)
+    _write_manifest(
+        out.with_suffix(out.suffix + ".manifest.json"),
+        result["command"], config, {"result": out}, argv,
+    )
+    print(f"wrote {out}")
 
 
 def _back_transform(problem, beta_std):
@@ -168,44 +99,23 @@ def _back_transform(problem, beta_std):
 
 def cmd_screen(args, argv) -> int:
     """Fit one screening method to CSV data and write the selection."""
-    try:
-        X = read_matrix_csv(args.x_path)
-        y = read_vector_csv(args.y_path)
-    except InputFileError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-
-    if y.shape[0] != X.shape[0]:
-        return _fail(
-            EXIT_DIMENSION,
-            f"{args.y_path}: has {y.shape[0]} rows but {args.x_path} has {X.shape[0]}",
-        )
-
+    X, y = _read_xy(args.x_path, args.y_path)
     X_test = y_test = None
     if args.test_x or args.test_y:
         if not (args.test_x and args.test_y):
-            return _fail(EXIT_INPUT, "--test-x and --test-y must be given together")
+            raise _Failure(EXIT_INPUT, "--test-x and --test-y must be given together")
         if args.test_rows is not None:
-            return _fail(EXIT_INPUT, "--test-rows excludes --test-x and --test-y")
-        try:
-            X_test = read_matrix_csv(args.test_x)
-            y_test = read_vector_csv(args.test_y)
-        except InputFileError as exc:
-            return _fail(EXIT_INPUT, str(exc))
+            raise _Failure(EXIT_INPUT, "--test-rows excludes --test-x and --test-y")
+        X_test, y_test = _read_xy(args.test_x, args.test_y)
         if X_test.shape[1] != X.shape[1]:
-            return _fail(
+            raise _Failure(
                 EXIT_DIMENSION,
                 f"{args.test_x}: has {X_test.shape[1]} columns but "
                 f"{args.x_path} has {X.shape[1]}",
             )
-        if y_test.shape[0] != X_test.shape[0]:
-            return _fail(
-                EXIT_DIMENSION,
-                f"{args.test_y}: has {y_test.shape[0]} rows but "
-                f"{args.test_x} has {X_test.shape[0]}",
-            )
     elif args.test_rows is not None:
         if not 1 <= args.test_rows <= X.shape[0] - 2:
-            return _fail(
+            raise _Failure(
                 EXIT_DIMENSION,
                 f"--test-rows {args.test_rows} leaves no training data "
                 f"(n = {X.shape[0]})",
@@ -215,20 +125,20 @@ def cmd_screen(args, argv) -> int:
 
     method = args.method.lower()
     if method not in method_catalog():
-        return _fail(
+        raise _Failure(
             EXIT_INPUT, f"unknown method {args.method!r}; choose from {method_catalog()}"
         )
     if method in BASIC_METHODS:
         for flag, value in (("--rel-tol", args.rel_tol), ("--max-iter", args.max_iter)):
             if value is not None:
-                return _fail(
+                raise _Failure(
                     EXIT_INPUT, f"{flag} applies only to oss- and foss- methods, not {method!r}"
                 )
 
     requested_m = args.subset_size
     M = min(requested_m, X.shape[0] - 1, X.shape[1])
     if M < 1:
-        return _fail(EXIT_DIMENSION, "not enough rows/columns to select anything")
+        raise _Failure(EXIT_DIMENSION, "not enough rows/columns to select anything")
 
     try:
         problem = standardize(X, y)
@@ -236,7 +146,7 @@ def cmd_screen(args, argv) -> int:
             problem, method, M, rel_tol=args.rel_tol, max_iter=args.max_iter
         )
     except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        raise _Failure(EXIT_INPUT, str(exc))
 
     slope, intercept = _back_transform(problem, outcome.coef.beta)
     result = {
@@ -259,13 +169,9 @@ def cmd_screen(args, argv) -> int:
         result["test_mse"] = float(np.mean((y_test - pred) ** 2))
         result["test_rows"] = int(X_test.shape[0])
 
-    out = Path(args.out or "screen_result.json")
-    with open(out, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "screen",
+    _write_result(
+        Path(args.out or "screen_result.json"),
+        result,
         {
             "x_path": str(args.x_path),
             "y_path": str(args.y_path),
@@ -277,10 +183,8 @@ def cmd_screen(args, argv) -> int:
             "test_x": args.test_x,
             "test_y": args.test_y,
         },
-        {"result": out},
         argv,
     )
-    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -290,9 +194,9 @@ def cmd_simulate(args, argv) -> int:
         with open(args.config_path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        return _fail(EXIT_INPUT, f"{args.config_path}: {exc.strerror or exc}")
+        raise _Failure(EXIT_INPUT, f"{args.config_path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
-        return _fail(EXIT_INPUT, f"{args.config_path}:{exc.lineno}: {exc.msg}")
+        raise _Failure(EXIT_INPUT, f"{args.config_path}:{exc.lineno}: {exc.msg}")
 
     if isinstance(raw, dict) and "config" in raw and "command" in raw:
         raw = raw["config"]  # replaying a manifest
@@ -307,7 +211,7 @@ def cmd_simulate(args, argv) -> int:
         config = config_from_dict(raw)
         result = run_experiment(config, workers=args.workers)
     except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        raise _Failure(EXIT_INPUT, str(exc))
 
     out_dir = Path(args.out or "simulate_out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -330,28 +234,19 @@ def cmd_simulate(args, argv) -> int:
 
 def cmd_oracle(args, argv) -> int:
     """Exhaustively search all size-M subsets of a CSV dataset."""
-    try:
-        X = read_matrix_csv(args.x_path)
-        y = read_vector_csv(args.y_path)
-    except InputFileError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    if y.shape[0] != X.shape[0]:
-        return _fail(
-            EXIT_DIMENSION,
-            f"{args.y_path}: has {y.shape[0]} rows but {args.x_path} has {X.shape[0]}",
-        )
+    X, y = _read_xy(args.x_path, args.y_path)
     p = X.shape[1]
     M = args.subset_size
     if not 0 <= M <= p:
-        return _fail(EXIT_DIMENSION, f"M = {M} is outside [0, p] with p = {p}")
+        raise _Failure(EXIT_DIMENSION, f"M = {M} is outside [0, p] with p = {p}")
 
     try:
         problem = standardize(X, y)
         res = exhaustive_best_subset(problem, M)
     except EnumerationCapError as exc:
-        return _fail(EXIT_CAP, str(exc))
+        raise _Failure(EXIT_CAP, str(exc))
     except ValueError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        raise _Failure(EXIT_INPUT, str(exc))
 
     result = {
         "command": "oracle",
@@ -362,18 +257,12 @@ def cmd_oracle(args, argv) -> int:
         "selected": [int(j) + 1 for j in res.coef.active],
         "rss": res.final_rss,
     }
-    out = Path(args.out or "oracle_result.json")
-    with open(out, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "oracle",
+    _write_result(
+        Path(args.out or "oracle_result.json"),
+        result,
         {"x_path": str(args.x_path), "y_path": str(args.y_path), "subset_size": M},
-        {"result": out},
         argv,
     )
-    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -449,7 +338,11 @@ def main(argv=None) -> int:
     handler = {"screen": cmd_screen, "simulate": cmd_simulate, "oracle": cmd_oracle}[
         args.command
     ]
-    return handler(args, argv)
+    try:
+        return handler(args, argv)
+    except _Failure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 def entry_point() -> None:

@@ -312,11 +312,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     """Run all repetitions, aggregate, and keep per-repetition records.
 
     Repetitions are independent jobs keyed by their index; with
-    ``workers > 1`` they run in a process pool.  Output is identical for
-    any worker count because every repetition derives its own streams
-    and the aggregation folds records in repetition order.  A fixed
-    (Kronecker) design is built and prepared once per call, or once per
-    worker with ``workers > 1``.
+    ``workers > 1`` they run in a pool of at most one process per
+    repetition.  Output is identical for any worker count because every
+    repetition derives its own streams and the aggregation folds records
+    in repetition order.  A fixed (Kronecker) design is built and
+    prepared once per call, or once per worker process.
 
     Raises ValueError when ``workers`` is below 1, and when every
     repetition is excluded (naming the first exclusion).
@@ -326,6 +326,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     _fixed_design.cache_clear()
     reps = range(config.repetitions)
     task = partial(_evaluate_safely, config)
+    # The pool starts all its processes at the first submit.
+    workers = min(workers, config.repetitions)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             evaluated = list(pool.map(task, reps))

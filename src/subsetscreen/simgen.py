@@ -1,15 +1,17 @@
-"""Seeded generation of simulation inputs.
+"""Seeded generation of simulation inputs, and the numeric-CSV reader.
 
 Equicorrelated Gaussian designs, two-level Kronecker-product designs
 built from Hadamard matrices, and responses from the sparse linear
 model.  All randomness flows through replayable child streams derived
 from (master seed, repetition index, purpose tag), so repetitions can
-run in any order or thread without changing output.
+run in any order or thread without changing output.  ``read_matrix_csv``
+reads every numeric CSV: base designs here, and the data of the CLI.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 import zlib
@@ -161,29 +163,121 @@ def kronecker_design(H, D) -> np.ndarray:
 def load_base_design(path) -> np.ndarray:
     """Read a two-level base design from a headerless CSV of +-1 entries.
 
-    Raises ValueError naming the file and line of a row of another width
-    than the first, or of a cell that is not a number or not finite;
-    warns (``TwoLevelWarning``) when some finite entry is not +-1.
+    The file is read by ``read_matrix_csv(path, header=False)``, so a
+    malformed one raises ``InputFileError`` (a ValueError) naming the
+    file and line; warns (``TwoLevelWarning``) when some entry is not +-1.
     """
-    rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(rows[0])} columns, found {len(row)}"
-                )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{lineno}: non-finite entry")
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    D = np.asarray(rows)
+    D = read_matrix_csv(path, header=False)
     if not np.all(np.abs(D) == 1.0):
         warnings.warn(f"{path}: entries other than +-1 present", TwoLevelWarning, stacklevel=2)
     return D
+
+
+class InputFileError(ValueError):
+    """Malformed or unreadable input file; carries the path and line number."""
+
+    def __init__(self, path, line, message):
+        super().__init__(f"{path}:{line}: {message}" if line else f"{path}: {message}")
+        self.path = path
+        self.line = line
+
+
+def _read_rows(path):
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputFileError(path, None, exc.strerror or str(exc)) from exc
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        byte = exc.object[exc.start]
+        raise InputFileError(path, line, f"not UTF-8: byte 0x{byte:02x}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # line_num counts lines, not rows: a quoted cell may span lines.
+    rows = [(reader.line_num, row) for row in reader if not _is_blank(row)]
+    if not rows:
+        raise InputFileError(path, 1, "no data rows")
+    return rows
+
+
+def _is_blank(row) -> bool:
+    return not row or not any(cell.strip() for cell in row)
+
+
+def _is_numeric_row(row) -> bool:
+    try:
+        [float(cell) for cell in row]
+    except ValueError:
+        return False
+    return True
+
+
+def read_matrix_csv(path, header=True) -> np.ndarray:
+    """Read a UTF-8 CSV matrix of finite numbers; blank rows are skipped.
+
+    With ``header`` a non-numeric first row is a header; without it every
+    row is data.  Files of plain numbers with a consistent width go
+    through ``np.loadtxt``; anything it does not read (quoted cells,
+    ragged rows, a cell that is not a finite number, an unreadable file)
+    falls back to a row-by-row parser that reads the same values and
+    raises ``InputFileError`` naming the path and line of the problem.
+    """
+    fast = _read_matrix_fast(path, header)
+    return fast if fast is not None else _read_matrix_rows(path, header)
+
+
+def _read_matrix_fast(path, header=True) -> np.ndarray | None:
+    """``np.loadtxt`` after the same header decision; None on any failure."""
+    try:
+        skip = 0
+        if header:  # an empty file reads as numeric; loadtxt then finds no data
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                first = next((row for row in reader if not _is_blank(row)), [])
+                skip = 0 if _is_numeric_row(first) else reader.line_num
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on input without data
+            data = np.loadtxt(
+                path, delimiter=",", ndmin=2, comments=None, dtype=float,
+                skiprows=skip, encoding="utf-8-sig",
+            )
+    except (OSError, ValueError, csv.Error, UserWarning):
+        return None
+    return np.ascontiguousarray(data) if data.size and np.isfinite(data).all() else None
+
+
+def _read_matrix_rows(path, header=True) -> np.ndarray:
+    """The row-by-row reader behind ``read_matrix_csv``."""
+    rows = _read_rows(path)
+    if header and not _is_numeric_row(rows[0][1]):
+        rows = rows[1:]
+        if not rows:
+            raise InputFileError(path, 2, "no data rows after the header")
+    width = len(rows[0][1])
+    data = []
+    for lineno, row in rows:
+        if len(row) != width:
+            raise InputFileError(
+                path, lineno, f"expected {width} columns, found {len(row)}"
+            )
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            bad = next(cell for cell in row if not _is_numeric_row([cell]))
+            raise InputFileError(path, lineno, f"not a number: {bad!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise InputFileError(path, lineno, "non-finite entry")
+        data.append(values)
+    return np.asarray(data)
+
+
+def read_vector_csv(path) -> np.ndarray:
+    """Read a single-column numeric CSV (optional header)."""
+    matrix = read_matrix_csv(path)
+    if matrix.shape[1] != 1:
+        raise InputFileError(
+            path, 1, f"expected a single column, found {matrix.shape[1]}"
+        )
+    return matrix[:, 0]

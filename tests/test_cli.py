@@ -14,7 +14,7 @@ from subsetscreen import (
     standardize,
 )
 from subsetscreen.cli import InputFileError, main, read_matrix_csv
-from subsetscreen.cli import _read_matrix_fast, _read_matrix_rows
+from subsetscreen.simgen import _read_matrix_fast, _read_matrix_rows, load_base_design
 
 from _support import orthogonal_design
 
@@ -39,8 +39,7 @@ READABLE_CSV = [
     ("blank_lines_before_header", "\n\nx,y\n\n1,2\n3,4\n", True),
     ("crlf", "a,b\r\n1,2\r\n3,4\r\n", True),
     ("padded_cells", " 1 ,\t2\n  3,4  \n", True),
-    ("nan_inf", "nan,-nan,NaN\ninf,-inf,Infinity\n", True),
-    ("exponents", "1e-300,2.5E+10,-3e400\n.5,1.,+0\n", True),
+    ("exponents", "1e-300,2.5E+10,-3e300\n.5,1.,+0\n", True),
     ("single_row", "0.1,0.2,0.3\n", True),
     ("single_column", "v\n0.1\n0.2\n0.3\n", True),
     ("single_cell", "7\n", True),
@@ -62,6 +61,8 @@ MALFORMED_CSV = [
     ("header_only", "a,b\n\n"),
     ("empty", ""),
     ("blank_only", "\n \n"),
+    ("nan_inf", "nan,-nan,NaN\ninf,-inf,Infinity\n"),
+    ("overflow", "1e-300,2.5E+10,-3e400\n.5,1.,+0\n"),
 ]
 
 
@@ -106,14 +107,23 @@ class TestReadMatrixCsv:
         assert str(got.value) == str(expected.value)
         assert main(["screen", str(x_path), str(y_path)]) == 2
         assert capsys.readouterr().err == f"error: {expected.value}\n"
+        # The same file as a headerless base design.
+        with pytest.raises(InputFileError) as expected:
+            _read_matrix_rows(x_path, header=False)
+        for read in (lambda path: read_matrix_csv(path, header=False), load_base_design):
+            with pytest.raises(InputFileError) as got:
+                read(x_path)
+            assert str(got.value) == str(expected.value)
 
     def test_missing_file_fails_like_the_row_parser(self, tmp_path):
         path = tmp_path / "absent.csv"
         with pytest.raises(InputFileError) as expected:
             _read_matrix_rows(path)
-        with pytest.raises(InputFileError) as got:
-            read_matrix_csv(path)
-        assert str(got.value) == str(expected.value)
+        for read in (read_matrix_csv, load_base_design):
+            with pytest.raises(InputFileError) as got:
+                read(path)
+            assert str(got.value) == str(expected.value)
+        assert str(expected.value) == f"{path}: No such file or directory"
 
 
 class TestScreen:
@@ -168,6 +178,22 @@ class TestScreen:
         assert main(["screen", str(x_path), str(y_path)]) == 2
         err = capsys.readouterr().err
         assert "x.csv:2" in err
+
+    def test_line_after_a_quoted_line_break_is_named_by_its_line(self, tmp_path, capsys):
+        x_path = tmp_path / "x.csv"
+        x_path.write_text('"1\n",2\n3,oops\n')
+        y_path = tmp_path / "y.csv"
+        y_path.write_text("1\n2\n")
+        assert main(["screen", str(x_path), str(y_path)]) == 2
+        assert capsys.readouterr().err == f"error: {x_path}:3: not a number: 'oops'\n"
+
+    def test_bytes_that_are_not_utf8_exit_2_naming_the_line(self, tmp_path, capsys):
+        x_path = tmp_path / "x.csv"
+        x_path.write_bytes(b"a,b\n1,2\n3,\xe9\n4,5\n")
+        y_path = tmp_path / "y.csv"
+        y_path.write_text("1\n2\n3\n")
+        assert main(["screen", str(x_path), str(y_path)]) == 2
+        assert capsys.readouterr().err == f"error: {x_path}:3: not UTF-8: byte 0xe9\n"
 
     def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
         rng = np.random.default_rng(74)
@@ -405,6 +431,22 @@ class TestSimulate:
         assert "base.csv:2: non-finite entry" in err
         assert "beta_value" not in err
         assert not out.exists()
+
+    def test_base_design_not_utf8_names_the_line(self, tmp_path, capsys):
+        config = self.kronecker_config(tmp_path, ["1,-1,1", "1,1,-1", "-1,1,1", "-1,-1,-1"])
+        base = tmp_path / "base.csv"
+        base.write_bytes(b"1,-1,1\n1,1,-1\n-1,\xe9,1\n-1,-1,-1\n")
+        out = tmp_path / "run"
+        assert main(["simulate", config, "--out", str(out)]) == 2
+        assert f"{base}:3: not UTF-8: byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_base_design_names_the_file_without_a_line(self, tmp_path, capsys):
+        config = self.kronecker_config(tmp_path, ["1,-1", "-1,1"])
+        base = tmp_path / "base.csv"
+        base.unlink()
+        assert main(["simulate", config, "--out", str(tmp_path / "run")]) == 2
+        assert f"{base}: No such file or directory" in capsys.readouterr().err
 
     def test_non_two_level_base_design_warns_once(self, tmp_path):
         config = self.kronecker_config(tmp_path, ["1,-1,1", "1,0.5,-1", "-1,1,1", "-1,-1,-1"])

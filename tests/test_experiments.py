@@ -236,6 +236,30 @@ class TestRunExperiment:
         assert serial.records == parallel.records
         assert serial.table == parallel.table
 
+    def test_pool_has_at_most_one_process_per_repetition(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        methods = ["sis"]
+        expected = run_experiment(small_config(repetitions=3, methods=methods), workers=1)
+        got = run_experiment(small_config(repetitions=3, methods=methods), workers=64)
+        run_experiment(small_config(repetitions=1, methods=methods), workers=64)
+        assert sizes == [3]
+        assert got.records == expected.records
+
     def test_records_cover_every_rep_and_method(self):
         config = small_config(repetitions=5)
         result = run_experiment(config)

@@ -191,6 +191,12 @@ class TestBaseDesignFile:
         path.write_bytes(b"\xef\xbb\xbf1,-1\n-1,1\n")
         np.testing.assert_array_equal(load_base_design(path), [[1.0, -1.0], [-1.0, 1.0]])
 
+    def test_header_row_is_not_a_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,-1\n")
+        with pytest.raises(ValueError, match="bad.csv:1: not a number: 'a'"):
+            load_base_design(path)
+
     def test_bad_cell_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,1\n1,x\n")
