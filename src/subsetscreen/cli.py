@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,12 +32,15 @@ from .experiments import (
     write_repetition_records,
 )
 from .numerics import standardize
-from .simgen import InputFileError, read_matrix_csv, read_vector_csv
+from .simgen import InputFileError, read_matrix_csv, read_text, read_vector_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DIMENSION = 3
 EXIT_CAP = 4
+
+# Thread-count variables of the BLAS builds numpy ships with or links to.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Failure(Exception):
@@ -76,6 +80,12 @@ def _write_manifest(path, command, config, outputs, argv) -> None:
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config,
         "outputs": {k: str(v) for k, v in outputs.items()},
+        # The numeric environment, for the record: replay reads only "config".
+        "environment": {
+            "numpy": np.__version__,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "cpu_count": os.cpu_count(),
+        },
     }
     _write_json(path, manifest)
 
@@ -191,10 +201,9 @@ def cmd_screen(args, argv) -> int:
 def cmd_simulate(args, argv) -> int:
     """Run a Monte Carlo grid from a JSON config (or a prior manifest)."""
     try:
-        with open(args.config_path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise _Failure(EXIT_INPUT, f"{args.config_path}: {exc.strerror or exc}")
+        raw = json.loads(read_text(args.config_path))
+    except InputFileError as exc:
+        raise _Failure(EXIT_INPUT, str(exc)) from None
     except json.JSONDecodeError as exc:
         raise _Failure(EXIT_INPUT, f"{args.config_path}:{exc.lineno}: {exc.msg}")
 

@@ -3,20 +3,22 @@
 Everything here is a pure function: standardization of a regression
 problem into the centered, equal-column-norm convention (split into the
 design-only part, ``prepare_design``, and the response part, ``bind``),
-the largest eigenvalue of X'X by Lanczos from a fixed random start (and
-by the older power iteration, kept for comparison), and minimum-norm
-least squares by one SVD-based solve, the package's only least-squares
-solver outside the stepwise path's running inverse of its own factor.
+the largest eigenvalue of X'X by Lanczos from a fixed random start
+(its tridiagonal's top eigenpair found in plain Python, with no LAPACK
+call per step; the older power iteration is kept for comparison), and
+minimum-norm least squares by one SVD-based solve, the package's only
+least-squares solver outside the stepwise path's running inverse of its
+own factor.  numpy is the only dependency.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "PreparedDesign",
@@ -40,6 +42,13 @@ LANCZOS_RTOL = 1e-13
 
 # Initial number of Lanczos basis vectors; the basis doubles as needed.
 LANCZOS_BLOCK = 32
+
+# Cap on Laguerre iterations for one top Ritz value (it takes 2-9).
+LAGUERRE_MAX_ITER = 100
+
+# Smallest positive normal float: with the largest squared off-diagonal
+# entry it sets the magnitude that replaces an exactly zero pivot.
+_SAFE_MIN = sys.float_info.min
 
 # Singular values at or below this fraction of the largest one mark a
 # dependent direction in min_norm_least_squares.
@@ -267,6 +276,11 @@ def lanczos_lambda_max(X) -> float:
     beta_k |s_k| of the largest Ritz value theta falls to
     ``LANCZOS_RTOL`` * theta, or after min(n, p) steps, when the Krylov
     space is the whole space.  Returns 0.0 for an all-zero X.
+
+    theta and s_k, the last component of theta's unit eigenvector of the
+    Lanczos tridiagonal T_k, come from :func:`_top_ritz`: O(k) passes
+    over T_k in Python floats, with no LAPACK call, so no BLAS thread
+    pool is woken at every step.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -283,6 +297,7 @@ def lanczos_lambda_max(X) -> float:
     basis = np.empty((m, min(m, LANCZOS_BLOCK)))
     alpha: list[float] = []
     beta: list[float] = []
+    theta = resid = 0.0
     q = _random_start(m)
     for k in range(m):
         if k == basis.shape[1]:
@@ -298,15 +313,135 @@ def lanczos_lambda_max(X) -> float:
         w -= Q @ h2
         alpha.append(float(h[k] + h2[k]))
         b = float(np.linalg.norm(w))
-        theta, s = eigh_tridiagonal(
-            alpha, beta, select="i", select_range=(k, k), check_finite=False
-        )
-        theta = float(theta[0])
-        if b * abs(float(s[-1, 0])) <= LANCZOS_RTOL * abs(theta) or k == m - 1:
+        # Weyl: T_k is diag(T_{k-1}, alpha_k) plus a coupling of norm beta_{k-1}.
+        # The last Ritz value plus its residual bound is usually tighter.
+        upper = max(theta, alpha[k]) + beta[-1] if beta else alpha[0]
+        theta, s = _top_ritz(alpha, beta, upper, guess=theta + resid)
+        resid = b * s
+        if resid <= LANCZOS_RTOL * abs(theta) or k == m - 1:
             break
         beta.append(b)
         q = w / b
     return theta
+
+
+def _top_ritz(alpha, beta, upper, guess=None):
+    """Largest eigenvalue theta of a symmetric tridiagonal T, and |s_k|.
+
+    ``alpha`` is the diagonal of T (k floats), ``beta`` its k - 1 nonzero
+    off-diagonal entries, ``upper`` a bound at or above theta, and
+    ``s_k`` the last component of theta's unit eigenvector.  ``guess``,
+    when every pivot at it is positive (so it lies above theta too), is
+    a closer start than ``upper``.
+
+    theta: Laguerre's method on f(x) = det(xI - T), whose roots are all
+    real, so from above it decreases monotonically onto the largest
+    one; it stops once a step no longer decreases x.  Each iteration is
+    one O(k) pass of :func:`_pivot_sums`.  A pivot that is exactly zero
+    makes x an eigenvalue of a leading block of T to rounding; those lie
+    at or below theta, itself at or below x, so x is returned.
+
+    s_k: see :func:`_last_component`.
+    """
+    k = len(alpha)
+    if k == 1:
+        return alpha[0], 1.0
+    rows = list(zip(alpha[1:], [b * b for b in beta]))
+    x, sums = upper, None
+    if guess is not None and guess < upper:
+        probe = _pivot_sums(alpha[0], rows, guess)
+        if probe is not None and probe[2]:
+            x, sums = guess, probe
+    for _ in range(LAGUERRE_MAX_ITER):
+        sums = sums or _pivot_sums(alpha[0], rows, x)
+        if sums is None:
+            break
+        G, H, _ = sums
+        sums = None
+        if G <= 0.0:
+            break
+        step = k / (G + math.sqrt(max((k - 1) * (k * H - G * G), 0.0)))
+        if not x - step < x:
+            break
+        x -= step
+    return x, _last_component(alpha, beta, x)
+
+
+def _pivot_sums(alpha0, rows, x):
+    """f'/f and -(f'/f)' at x for f(x) = det(xI - T), and whether x > theta.
+
+    One pass of the LDL' pivots d_1 = x - alpha_1 and
+    d_i = x - alpha_i - beta_{i-1}^2 / d_{i-1}.  f is their product, so
+    both sums collect the pivots' g_i = d_i'/d_i and h_i = d_i''/d_i,
+    which follow d_i by the same recurrence.  Every pivot is positive
+    exactly when x lies above every eigenvalue (Sturm).  Returns None at
+    a pivot that is exactly zero.
+    """
+    d = x - alpha0
+    if d == 0.0:
+        return None
+    g = 1.0 / d
+    h = 0.0
+    G, H = g, g * g
+    above = d > 0.0
+    for a, b2 in rows:
+        r = b2 / d
+        d = x - a - r
+        if d <= 0.0:
+            if d == 0.0:
+                return None
+            above = False
+        g, h = (1.0 + r * g) / d, r * (h - 2.0 * g * g) / d
+        G += g
+        H += g * g - h
+    return G, H, above
+
+
+def _last_component(alpha, beta, theta):
+    """|s_k| of the unit eigenvector of T for ``theta``, from a twisted factorization.
+
+    The eigenvector solves (theta I - T) z = 0.  Its components follow a
+    three-term recurrence, which is stable only in the direction in which
+    they grow: run against it, rounding excites the growing solution and
+    swamps the true one.  So the recurrence runs outwards from the twist
+    index r where the eigenvector peaks (Parlett and Dhillon's twisted
+    factorization, as in LAPACK's xLAR1V): z_r = 1, upwards by the
+    pivots of the LDL' factorization of theta I - T from the top, and
+    downwards by those of its UDU' factorization from the bottom.  r
+    minimises |gamma_r|, the diagonal where the two factorizations meet.
+    The closed form s_k^2 = 1 / d_k'(theta), from the last pivot of
+    :func:`_pivot_sums`, loses every digit once the Ritz value has
+    converged; this one keeps its relative accuracy for s_k far below
+    1e-10.
+    """
+    k = len(alpha)
+    squares = [b * b for b in beta]
+    # A pivot that is exactly zero is replaced by a tiny one, as xLAR1V does.
+    pivmin = _SAFE_MIN * max([1.0, *squares])
+    top = []
+    d = 1.0
+    for a, b2 in zip(alpha, [0.0, *squares]):
+        d = theta - a - b2 / d
+        if d == 0.0:
+            d = pivmin
+        top.append(d)
+    bottom = [0.0] * k
+    q = 1.0
+    for i, b2 in zip(range(k - 1, -1, -1), [0.0, *reversed(squares)]):
+        q = theta - alpha[i] - b2 / q
+        if q == 0.0:
+            q = pivmin
+        bottom[i] = q
+    r = min(range(k), key=lambda i: abs(top[i] + bottom[i] - (theta - alpha[i])))
+    z = total = 1.0
+    for i in range(r - 1, -1, -1):
+        z *= beta[i] / top[i]
+        total += z * z
+    z = 1.0
+    for i in range(r + 1, k):
+        z *= beta[i - 1] / bottom[i]
+        total += z * z
+    return abs(z) / math.sqrt(total)
 
 
 def power_method_lambda_max(X, rel_tol: float = 1e-12, max_iter: int = 100_000) -> float:

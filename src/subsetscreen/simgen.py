@@ -182,19 +182,28 @@ class InputFileError(ValueError):
         self.line = line
 
 
-def _read_rows(path):
+def read_text(path) -> str:
+    """The text of a UTF-8 file (a leading byte-order mark is dropped).
+
+    Raises ``InputFileError``: ``path: message`` when the file cannot be
+    read, and ``path:line: not UTF-8: byte 0x..`` at the first byte that
+    is not UTF-8.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputFileError(path, None, exc.strerror or str(exc)) from exc
     try:
-        text = raw.decode("utf-8-sig")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object[: exc.start].count(b"\n") + 1
         byte = exc.object[exc.start]
         raise InputFileError(path, line, f"not UTF-8: byte 0x{byte:02x}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+
+
+def _read_rows(path):
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     # line_num counts lines, not rows: a quoted cell may span lines.
     rows = [(reader.line_num, row) for row in reader if not _is_blank(row)]
     if not rows:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -373,6 +376,35 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 2
         assert "config.json" in capsys.readouterr().err
 
+    def test_config_not_utf8_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{\n  "n": 30,\n  "note": "caf\xe9"\n}\n')
+        out = tmp_path / "run"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert f"{path}:3: not UTF-8: byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        assert main(["simulate", str(path)]) == 2
+        assert f"{path}: No such file or directory" in capsys.readouterr().err
+
+    def test_manifest_records_the_numeric_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        config = self.base_config(tmp_path, repetitions=1)
+        out = tmp_path / "run"
+        assert main(["simulate", config, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "numpy": np.__version__,
+            "blas_threads": {
+                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+            },
+            "cpu_count": os.cpu_count(),
+        }
+
     def test_seed_override_changes_streams(self, tmp_path):
         config = self.base_config(tmp_path, repetitions=3)
         a = tmp_path / "a"
@@ -489,3 +521,37 @@ def test_flag_a_subcommand_does_not_use_exits_2(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, x_path, y_path, "-M", "1", *flag])
     assert exc.value.code == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("command", ["screen", "simulate", "oracle"])
+def test_no_command_imports_scipy(tmp_path, command):
+    # Importing scipy.linalg would cost about 0.3 s of start-up per call.
+    rng = np.random.default_rng(83)
+    X = rng.standard_normal((12, 5))
+    x_path, y_path = write_xy(tmp_path, X, X[:, 0] + 0.1 * rng.standard_normal(12))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "n": 20, "p": 8, "d": 2, "rho": 0.0, "sigma": 1.0, "beta_value": 3.0,
+        "M": 3, "repetitions": 1, "methods": ["sis", "foss-fs"], "seed": 1,
+    }))
+    argv = {
+        "screen": ["screen", x_path, y_path, "-M", "2"],
+        "simulate": ["simulate", str(config)],
+        "oracle": ["oracle", x_path, y_path, "-M", "2"],
+    }[command]
+    script = (
+        "import sys\n"
+        "from subsetscreen.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from subsetscreen import numerics
 from subsetscreen import (
     bind,
     kronecker_design,
@@ -177,6 +181,115 @@ class TestLanczos:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             lanczos_lambda_max(np.zeros((3, 0)))
+
+
+def _record_ritz_calls(monkeypatch):
+    """Route Lanczos's top Ritz values through a recorder.
+
+    Returns the list that receives (alpha, beta, upper, guess, result) of
+    every call, one per Lanczos step.
+    """
+    calls = []
+    top_ritz = numerics._top_ritz
+
+    def recorded(alpha, beta, upper, guess=None):
+        result = top_ritz(alpha, beta, upper, guess)
+        calls.append((list(alpha), list(beta), upper, guess, result))
+        return result
+
+    monkeypatch.setattr(numerics, "_top_ritz", recorded)
+    return calls
+
+
+def _reference_ritz(alpha, beta):
+    """Top eigenvalue and |last eigenvector component| by LAPACK (xSTEBZ, xSTEIN)."""
+    k = len(alpha)
+    w, v = eigh_tridiagonal(alpha, beta, select="i", select_range=(k - 1, k - 1))
+    return float(w[0]), abs(float(v[-1, 0]))
+
+
+def _norm_ulp(alpha, beta):
+    T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    return float(np.spacing(np.abs(np.linalg.eigvalsh(T)).max()))
+
+
+def _closed_form_last_component(alpha, beta, theta):
+    """s_k = 1 / sqrt(|d_k'(theta)|) from the top-down pivots d_i of theta I - T."""
+    d, slope = theta - alpha[0], 1.0
+    for a, b in zip(alpha[1:], beta):
+        d, slope = theta - a - b * b / d, 1.0 + b * b * slope / (d * d)
+    return 1.0 / math.sqrt(abs(slope))
+
+
+class TestTopRitz:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_lapack_on_random_tridiagonals(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 60))
+        alpha = [float(a) for a in rng.standard_normal(k)]
+        beta = [float(b) for b in rng.standard_normal(k - 1)]
+        upper = max(map(abs, alpha)) + 2.0 * max(map(abs, beta))  # Gershgorin
+        theta, s = numerics._top_ritz(alpha, beta, upper)
+        expected_theta, expected_s = _reference_ritz(alpha, beta)
+        assert abs(theta - expected_theta) <= 4 * _norm_ulp(alpha, beta)
+        # xSTEIN's components are accurate to about eps absolute.
+        if expected_s > 1e-8:
+            assert s == pytest.approx(expected_s, rel=1e-6)
+
+    def test_one_by_one(self):
+        assert numerics._top_ritz([3.5], [], 10.0) == (3.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, expected",
+        [
+            # d_1 = x - 2 is exactly zero at the start x = 2; theta = 2 + 1e-40.
+            ([2.0, 1.0], [1e-20], (2.0, 1e-20)),
+            # the last pivot 2 - 1 - 1/1 is exactly zero: x = 2 is theta.
+            ([1.0, 1.0], [1.0], (2.0, math.sqrt(0.5))),
+        ],
+    )
+    def test_exact_zero_pivot(self, alpha, beta, expected, monkeypatch):
+        sums = []
+        pivot_sums = numerics._pivot_sums
+
+        def recorded(*args):
+            sums.append(pivot_sums(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(numerics, "_pivot_sums", recorded)
+        theta, s = numerics._top_ritz(alpha, beta, max(alpha) + beta[0])
+        assert None in sums  # the guard fired
+        assert theta == expected[0]
+        assert abs(theta - _reference_ritz(alpha, beta)[0]) <= 4 * np.spacing(theta)
+        assert s == pytest.approx(expected[1], rel=1e-12)
+
+    def test_converged_last_component_keeps_its_digits(self, monkeypatch):
+        # Once the top Ritz value has converged, 1/sqrt(|d_k'(theta)|)
+        # is wrong by orders of magnitude; the twisted factorization is not.
+        calls = _record_ritz_calls(monkeypatch)
+        prepare_design(np.random.default_rng(7).standard_normal((200, 500)))
+        converged = 0
+        for alpha, beta, upper, guess, (theta, s) in calls:
+            expected_theta, expected_s = _reference_ritz(alpha, beta)
+            assert abs(theta - expected_theta) <= 4 * np.spacing(expected_theta)
+            if 1e-13 <= expected_s <= 1e-10:
+                converged += 1
+                assert s == pytest.approx(expected_s, rel=1e-6)
+                closed = _closed_form_last_component(alpha, beta, theta)
+                assert closed > 100 * expected_s
+        assert converged >= 3
+
+
+class TestLanczosStops:
+    def test_stop_rule_fires_well_before_min_n_p(self, monkeypatch):
+        # A last component that never falls far enough would run all 200 steps.
+        calls = _record_ritz_calls(monkeypatch)
+        X = prepare_design(np.random.default_rng(7).standard_normal((200, 500))).X
+        calls.clear()
+        theta = lanczos_lambda_max(X)
+        assert len(calls) <= 80
+        assert theta == calls[-1][-1][0]
+        assert abs(theta - np.linalg.eigvalsh(X @ X.T)[-1]) <= 1e-12 * theta
 
 
 class TestPrepareAndBind:
