@@ -150,8 +150,10 @@ def cmd_screen(args, argv) -> int:
     if M < 1:
         raise _Failure(EXIT_DIMENSION, "not enough rows/columns to select anything")
 
+    n, p = X.shape
     try:
         problem = standardize(X, y)
+        del X  # the method needs only the standardized copy
         outcome = run_method(
             problem, method, M, rel_tol=args.rel_tol, max_iter=args.max_iter
         )
@@ -164,8 +166,8 @@ def cmd_screen(args, argv) -> int:
         "method": method,
         "subset_size": M,
         "requested_subset_size": requested_m,
-        "n": int(X.shape[0]),
-        "p": int(X.shape[1]),
+        "n": int(n),
+        "p": int(p),
         "selected": [int(j) + 1 for j in outcome.selected],
         "coefficients": [
             {"index": int(j) + 1, "value": float(slope[j])} for j in outcome.selected

@@ -9,7 +9,19 @@ Thresholding in the update maps finds the M-th magnitude by a
 partition, in O(p), and a refit is the minimum-norm least-squares
 solution on the set (one SVD-based solve, the same for full-rank and
 dependent sets).  The gradient X'(y - X beta) and the objective are
-formed from the residual.
+formed from one residual per iterate, which the drivers pass from step
+to step.
+
+While the plain iteration keeps its active set A, each step is the
+Richardson (OEM) iteration on X_A, so ``run`` crosses such a stretch in
+closed form: one eigendecomposition of X_A'X_A and one p x M block
+X'X_A per set, then one GEMM per block of future steps evaluates their
+candidates and cancellation-free objective decreases.  The jump stops
+before the first step whose set could differ, whose stop test could
+fire (both judged with a stated rounding allowance), or at the
+iteration cap, and the ordinary step takes over from there.  The
+multi-start restarts take their first gradient from the stepwise
+sweep's X'r instead of forming it.
 
 The oracle scores every subset S by a Householder QR of [X_S, y], many
 subsets per LAPACK call (the last diagonal entry of R is the residual
@@ -138,7 +150,11 @@ class ScreeningResult:
     ``coef`` is the lowest-objective iterate seen (ties resolved to the
     earliest), ``rss_trace`` the objective value per iteration (the
     initial point is included only when it satisfies the sparsity
-    budget), and ``termination`` one of the TERM_* constants.
+    budget), and ``termination`` one of the TERM_* constants.  For a
+    stretch of plain steps crossed in closed form, the last entry is the
+    RSS of the iterate handed back, formed from its residual, and each
+    earlier one is that value plus the closed-form decreases of the
+    steps after it.
 
     A result of ``multi_start_foss_fs`` combines two restarts: ``coef``
     and ``rss_trace`` are those of the winning restart, ``iterations``
@@ -197,14 +213,23 @@ def hard_threshold(x, M: int) -> np.ndarray:
     return np.where(keep, x, 0.0)
 
 
-def _gradient_candidate(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
-    # beta + X'(y - X beta)/c; flagged zero-variance coordinates are
-    # cleared so they can never enter an active set.
-    r = _residual(problem, coef)
-    v = coef.beta + (problem.X.T @ r) / problem.c
+def _gradient(problem: StandardizedProblem, coef: SparseCoef, residual=None) -> np.ndarray:
+    """X'(y - X beta), from ``residual`` when it is already formed."""
+    if residual is None:
+        residual = _residual(problem, coef)
+    return problem.X.T @ residual
+
+
+def _thresholded(problem: StandardizedProblem, coef: SparseCoef, gradient) -> np.ndarray:
+    """S_M(beta + X'(y - X beta)/c), given the gradient X'(y - X beta).
+
+    Flagged zero-variance coordinates are cleared first, so they can
+    never enter an active set.
+    """
+    v = coef.beta + gradient / problem.c
     if problem.degenerate.any():
         v[problem.degenerate] = 0.0
-    return v
+    return hard_threshold(v, coef.bound)
 
 
 def oss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
@@ -215,22 +240,19 @@ def oss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
     never increases.  Inputs with more than M nonzeros are allowed; the
     step thresholds them down.
     """
-    v = _gradient_candidate(problem, coef)
-    return SparseCoef.from_dense(hard_threshold(v, coef.bound), coef.bound)
+    stepped = _thresholded(problem, coef, _gradient(problem, coef))
+    return SparseCoef.from_dense(stepped, coef.bound)
 
 
-def foss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
+def foss_step(problem: StandardizedProblem, coef: SparseCoef, residual=None) -> SparseCoef:
     """Thresholded gradient step followed by a least-squares refit.
 
     The refit on the thresholded active set gives an objective no larger
     than the plain step's, which in turn is no larger than the input's.
+    ``residual``, when given, is the already formed y - X beta of ``coef``.
     """
-    return refit_subset(problem, _thresholded_set(problem, coef), coef.bound)
-
-
-def _thresholded_set(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
-    """The set a refitting step from ``coef`` refits on."""
-    return np.flatnonzero(hard_threshold(_gradient_candidate(problem, coef), coef.bound))
+    stepped = _thresholded(problem, coef, _gradient(problem, coef, residual))
+    return refit_subset(problem, np.flatnonzero(stepped), coef.bound)
 
 
 def refit_subset(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
@@ -258,13 +280,17 @@ def run(
     Stops when the relative objective decrease between successive
     iterations falls below ``opts.rel_tol``, when (for the refitting
     variant) an active set repeats, or at the iteration cap.  The
-    returned coefficients are the lowest-objective iterate seen.
+    returned coefficients are the lowest-objective iterate seen.  The
+    plain variant crosses stretches that keep their active set in closed
+    form (see ``_OssStep``).
     """
-    update = oss_step if opts.algorithm == "oss" else foss_step
-
-    def step(coef, source):
-        coef = update(problem, coef)
-        return coef, rss(problem, coef), None
+    if opts.algorithm == "oss":
+        step = _OssStep(problem, opts.rel_tol)
+    else:
+        def step(coef, residual, source, budget):
+            coef = foss_step(problem, coef, residual)
+            r = _residual(problem, coef)
+            return coef, r, [float(r @ r)], None
 
     return _iterate(problem, init, M, opts, step)
 
@@ -272,22 +298,28 @@ def run(
 def _iterate(problem, init, M, opts, step) -> ScreeningResult:
     """The loop of ``run``, over the step map ``step``.
 
-    ``step(coef, source)`` returns the next iterate, its objective and a
-    key for it that the next call receives as ``source`` (``None`` for
-    the starting point).
+    ``step(coef, residual, source, budget)`` receives an iterate, its
+    residual y - X beta, the key the previous call returned (``None``
+    for the starting point) and the number of steps left.  It returns
+    ``(coef, residual, values, source)``: the iterate after
+    ``len(values)`` steps (between 1 and ``budget``), its residual, the
+    objective after each of those steps, and a key for the next call.
+    Every value but the last belongs to a step already known to keep
+    its active set and not to meet the stop rule (a closed-form jump),
+    so only the last one is tested.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     max_iter = opts.resolved_max_iter()
     coef = SparseCoef.from_dense(init.beta, M)
-    feasible_start = coef.active.size <= M
+    residual = _residual(problem, coef)
 
     trace = []
     best = None
     best_rss = math.inf
     prev = None
-    if feasible_start:
-        r0 = rss(problem, coef)
+    if coef.active.size <= M:
+        r0 = float(residual @ residual)
         trace.append(r0)
         prev = r0
         best, best_rss = coef, r0
@@ -296,10 +328,13 @@ def _iterate(problem, init, M, opts, step) -> ScreeningResult:
     source = None
     iterations = 0
     termination = TERM_MAX_ITER
-    for k in range(1, max_iter + 1):
-        coef, cur, source = step(coef, source)
-        trace.append(cur)
-        iterations = k
+    while iterations < max_iter:
+        coef, residual, values, source = step(coef, residual, source, max_iter - iterations)
+        trace.extend(values)
+        iterations += len(values)
+        cur = values[-1]
+        if len(values) > 1:
+            prev = values[-2]
         if cur < best_rss:
             best, best_rss = coef, cur
         if prev is not None:
@@ -323,31 +358,231 @@ def _iterate(problem, init, M, opts, step) -> ScreeningResult:
     )
 
 
+# An oss jump starts with a block of this many steps and doubles it, up
+# to JUMP_BLOCK_ENTRIES candidate values per block.
+JUMP_BLOCK = 32
+JUMP_BLOCK_ENTRIES = 1 << 15
+
+# Safety factor on the rounding bounds that decide where an oss jump must
+# stop and leave a step to the ordinary loop (see _OssStep).
+JUMP_SLACK = 16.0
+
+_EPS = float(np.finfo(float).eps)
+
+
+@dataclass(frozen=True, eq=False)
+class _SetSpectrum:
+    """What a closed-form oss jump on the active set A needs of X.
+
+    X_A'X_A = V diag(lam) V'; ``null`` marks the directions whose
+    eigenvalue is within rounding of 0 (a rank-deficient A), ``logq`` is
+    log(1 - lam/c) (0 on null directions), ``weight`` (2c - lam)/c^2,
+    ``outside`` the columns that compete with A for a place (not in A,
+    not degenerate) and ``cross`` X_outside'X_A V.
+    """
+
+    lam: np.ndarray
+    V: np.ndarray
+    null: np.ndarray
+    logq: np.ndarray
+    weight: np.ndarray
+    outside: np.ndarray
+    cross: np.ndarray
+
+    @classmethod
+    def of(cls, problem: StandardizedProblem, active: np.ndarray) -> "_SetSpectrum":
+        c = problem.c
+        block = problem.X.T @ problem.X[:, active]
+        gram = block[active]
+        lam, V = np.linalg.eigh(0.5 * (gram + gram.T))
+        null = lam <= JUMP_SLACK * active.size * _EPS * c
+        # c >= lambda_max(X'X) >= lam; the clip keeps log(1 - lam/c) finite.
+        lam = np.where(null, 0.0, np.minimum(lam, (1.0 - _EPS) * c))
+        outside = np.ones(problem.p, dtype=bool)
+        outside[active] = False
+        outside &= ~problem.degenerate
+        return cls(
+            lam=lam,
+            V=V,
+            null=null,
+            logq=np.log1p(-lam / c),
+            weight=(2.0 * c - lam) / (c * c),
+            outside=outside,
+            cross=block[outside] @ V,
+        )
+
+
+class _OssStep:
+    """The plain step of one ``run``, which jumps over settled stretches.
+
+    While a step keeps its active set A, it is the Richardson (OEM)
+    iteration beta_A <- beta_A + X_A'(y - X_A beta_A)/c, so with
+    X_A'X_A = V diag(lam) V', q = 1 - lam/c and h = V'X_A'r_0 the
+    gradient at the start in eigen-coordinates, k steps give
+
+        beta_k = beta_0 + V diag((1 - q^k)/lam) h,
+        RSS_(k-1) - RSS_k = sum_i h_i^2 q_i^(2k-2) (2c - lam_i)/c^2,
+
+    a decrease with no cancellation; directions with lam within rounding
+    of 0 stay where they are.  The candidates x_j'r_k/c of the columns
+    outside A are affine in the same coefficients, through X'X_A V.
+
+    So after an ordinary step that keeps A (with |A| = M), the next steps
+    are evaluated in closed form, a block at a time by one GEMM, and the
+    jump runs up to the step before the first one where
+
+    - the thresholded set differs from A, or the set margin (the least
+      |beta| on A minus the largest candidate outside A) is within the
+      bound ``tau_k`` below, so that ``hard_threshold``'s tie rule
+      decides;
+    - the stop rule holds, or its test is within ``rho_k`` of
+      ``rel_tol``;
+
+    or up to the last step the budget allows.  That iterate is handed
+    back with its own residual, and the objective of every step jumped
+    over is its RSS plus the closed-form decreases after it.  The bounds,
+    with u the unit roundoff, a = ||y|| + sqrt(n) ||beta_0||_1 and
+    r = ||r_0||, are
+
+        e_cand = u (||beta_0||_inf + sqrt(n) (n r + (M + 1) a) / c),
+        e_rss  = u (n RSS_0 + 2 r (M + 1) a),
+        tau_k  = JUMP_SLACK ((k + 1) M e_cand + k ||h_null|| / c),
+        rho_k  = JUMP_SLACK (e_rss + (k + M) u d_k
+                             + 4 k sqrt(M c d_k) e_cand + 2 ||h_null||^2 / c):
+
+    e_cand bounds the rounding of one formed candidate and e_rss of one
+    formed RSS; the k-fold terms cover what k ordinary steps accumulate
+    (each step's error is carried on by a map of norm at most 1), the
+    M-fold ones the eigendecomposition, and h_null the motion along the
+    frozen directions that the ordinary steps would make.
+    """
+
+    def __init__(self, problem: StandardizedProblem, rel_tol: float):
+        self.problem = problem
+        self.rel_tol = rel_tol
+        self.key: tuple[int, ...] | None = None
+        self.spectrum: _SetSpectrum | None = None
+
+    def __call__(self, coef, residual, source, budget):
+        problem = self.problem
+        gradient = problem.X.T @ residual
+        stepped = SparseCoef.from_dense(_thresholded(problem, coef, gradient), coef.bound)
+        if (
+            budget > 1
+            and stepped.active.size == coef.bound
+            and np.array_equal(stepped.active, coef.active)
+        ):
+            jumped = self._jump(coef, residual, gradient, budget)
+            if jumped is not None:
+                return jumped
+        r = _residual(problem, stepped)
+        return stepped, r, [float(r @ r)], None
+
+    def _spectrum(self, active: np.ndarray) -> _SetSpectrum:
+        key = tuple(active.tolist())
+        if key != self.key:
+            self.key, self.spectrum = key, _SetSpectrum.of(self.problem, active)
+        return self.spectrum
+
+    def _jump(self, coef, residual, gradient, budget):
+        """Steps 1..m from ``coef`` in closed form, or None when m < 2."""
+        problem = self.problem
+        n, c = problem.n, problem.c
+        active = coef.active
+        M = active.size
+        s = self._spectrum(active)
+        h = s.V.T @ gradient[active]
+        h_null = float(np.linalg.norm(h[s.null]))
+        h[s.null] = 0.0
+        lam = np.where(s.null, 1.0, s.lam)  # frozen directions move by 0 / 1
+        beta0 = coef.beta[active]
+        outer = gradient[s.outside]
+        rss0 = float(residual @ residual)
+        r0 = math.sqrt(rss0)
+        a = float(np.linalg.norm(problem.y)) + math.sqrt(n) * float(np.abs(beta0).sum())
+        e_cand = _EPS * (float(np.abs(beta0).max()) + math.sqrt(n) * (n * r0 + (M + 1) * a) / c)
+        e_rss = _EPS * (n * rss0 + 2.0 * r0 * (M + 1) * a)
+
+        decreases = []
+        before = rss0  # the objective before the block's first step
+        first, width, m = 1, JUMP_BLOCK, budget
+        widest = max(JUMP_BLOCK, JUMP_BLOCK_ENTRIES // max(1, outer.size))
+        while first <= budget:
+            k = np.arange(first, min(first + width, budget + 1), dtype=float)
+            # Column j of shift is V'(beta_(first - 1 + j) - beta_0).
+            steps = np.append(k - 1.0, k[-1])
+            shift = -np.expm1(np.multiply.outer(s.logq, steps)) / lam[:, None] * h[:, None]
+            beta = beta0[:, None] + s.V @ shift[:, 1:]  # beta_k on A
+            # The largest candidate outside A at step k, from beta_(k-1).
+            rival = s.cross @ shift[:, :-1]
+            np.subtract(outer[:, None], rival, out=rival)
+            rival = np.abs(rival, out=rival).max(axis=0, initial=0.0) / c
+            margin = np.abs(beta).min(axis=0) - rival
+            tau = JUMP_SLACK * ((k + 1.0) * M * e_cand + k * h_null / c)
+            d = s.weight @ (np.exp(np.multiply.outer(s.logq, k - 1.0)) * h[:, None]) ** 2
+            prior = before - np.concatenate(([0.0], np.cumsum(d[:-1])))
+            test = d - self.rel_tol * np.where(prior > 0.0, prior, 1.0)
+            rho = JUMP_SLACK * (
+                e_rss + (k + M) * _EPS * d + 4.0 * k * np.sqrt(M * c * d) * e_cand
+                + 2.0 * h_null * h_null / c
+            )
+            settled = (test > rho) & ((margin > tau) | (k == 1.0))
+            if not settled.all():
+                stop = int(np.argmin(settled))
+                decreases.append(d[:stop])
+                m = first + stop - 1
+                break
+            decreases.append(d)
+            before = prior[-1] - d[-1]
+            first += k.size
+            width = min(2 * width, widest)
+        if m < 2:
+            return None
+
+        step = -np.expm1(m * s.logq) / lam * h
+        beta = np.zeros(problem.p)
+        beta[active] = beta0 + s.V @ step
+        jumped = SparseCoef.from_dense(beta, coef.bound)
+        r = _residual(problem, jumped)
+        final = float(r @ r)
+        d = np.concatenate(decreases)
+        values = final + np.cumsum(d[:0:-1])[::-1]
+        return jumped, r, [*values.tolist(), final], None
+
+
 class _MemoizedRefitStep:
     """The refitting step of one problem, memoized by the set it refits.
 
-    The refit on a set S, its objective and the set the next step from
-    that refit thresholds to depend on S alone, so each is computed once
-    per S.  A step from a point that is not such a refit (a restart's
-    starting point, ``source`` None) computes its set afresh.
+    The refit on a set S, its residual and objective, and the set the
+    next step from that refit thresholds to depend on S alone, so each
+    is computed once per S.  A step from a point that is not such a
+    refit (a restart's starting point, ``source`` None) computes its set
+    afresh, from ``start`` as its X'r when that is set and else from the
+    residual.
     """
 
     def __init__(self, problem: StandardizedProblem):
         self.problem = problem
-        self.refits: dict[tuple[int, ...], tuple[SparseCoef, float]] = {}
+        self.refits: dict[tuple[int, ...], tuple[SparseCoef, np.ndarray, float]] = {}
         self.next_set: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.start: np.ndarray | None = None
 
-    def __call__(self, coef: SparseCoef, source):
+    def __call__(self, coef: SparseCoef, residual, source, budget):
         target = self.next_set.get(source)
         if target is None:
-            target = tuple(_thresholded_set(self.problem, coef).tolist())
+            if source is None and self.start is not None:
+                gradient = self.start
+            else:
+                gradient = self.problem.X.T @ residual
+            target = tuple(np.flatnonzero(_thresholded(self.problem, coef, gradient)).tolist())
             if source is not None:
                 self.next_set[source] = target
         hit = self.refits.get(target)
         if hit is None:
             refit = refit_subset(self.problem, target, coef.bound)
-            hit = self.refits[target] = (refit, rss(self.problem, refit))
-        return hit[0], hit[1], target
+            r = _residual(self.problem, refit)
+            hit = self.refits[target] = (refit, r, float(r @ r))
+        return hit[0], hit[1], [hit[2]], target
 
 
 def multi_start_window(n: int, p: int, M: int) -> tuple[int, int]:
@@ -385,9 +620,15 @@ def multi_start_foss_fs(
 
     Neighbouring restarts tend to reach the same few active sets, so
     within one call each set is refit once: the refit on a set, its
-    objective and the set the next step from it thresholds to are
-    memoized by that set (and freed on return).  The result is the one
-    separate ``run`` calls give, bit for bit.
+    residual and objective, and the set the next step from it thresholds
+    to are memoized by that set (and freed on return).  A restart's first
+    gradient is the stepwise sweep's X'r of its prefix
+    (``fs_path.gains_at``), which equals X'(y - X beta) of the prefix fit
+    up to rounding; near-dependent prefixes, which the path refits by the
+    minimum-norm solver, form it afresh.  So the result is the one
+    separate ``run`` calls give, bit for bit, unless a restart's first
+    candidate sits at an exact tie for the last place, where its last
+    bits can decide the set.
     """
     if opts is None:
         opts = IterationOptions(algorithm="foss")
@@ -403,6 +644,7 @@ def multi_start_foss_fs(
     best_key = None
     first_on_set: dict[tuple[int, ...], ScreeningResult] = {}
     for size in range(lo, hi + 1):
+        step.start = fs_path.gains_at(size)
         result = _iterate(problem, fs_path.coef_at(size), M, opts, step)
         active = tuple(result.coef.active.tolist())
         first_on_set.setdefault(active, result)
@@ -445,7 +687,9 @@ def exhaustive_best_subset(
        than the best one, so the winner, its coefficients and its RSS are
        those of refitting every subset.
 
-    All C(p, M) subsets are scored; nothing is pruned.  When M >= n the
+    All C(p, M) subsets are scored; nothing is pruned.  A response that
+    is zero after centering is fit exactly by every subset, so then only
+    the first subset is refit and returned.  When M >= n the
     rows are padded with zeros so that R[M, M] exists, and every subset
     with at least n nonconstant columns (centered, they span at most
     n - 1 dimensions) has a negligible pivot and is refit.
@@ -462,10 +706,15 @@ def exhaustive_best_subset(
             f"C({p}, {M}) = {total} subsets exceed the enumeration cap {cap}"
         )
     X, y = problem.X, problem.y
+    if y.any():
+        contenders = _contenders(X, y, M)
+    else:
+        # Every subset fits a zero response exactly, so the first one wins.
+        contenders = np.arange(M)[None, :]
     best_rss = math.inf
     best_subset: np.ndarray | None = None
     best_vals: np.ndarray | None = None
-    for subset in _contenders(X, y, M):
+    for subset in contenders:
         vals = min_norm_least_squares(X[:, subset], y)
         r = y - X[:, subset] @ vals if M else y
         val = float(r @ r)

@@ -63,7 +63,9 @@ __all__ = [
 
 BASIC_METHODS = ("sis", "isis", "fs")
 
-REPETITION_FIELDS = ("rep", "method", "covered", "rss", "iterations", "selected_indices")
+REPETITION_FIELDS = (
+    "rep", "method", "covered", "rss", "iterations", "selected_indices", "termination",
+)
 AGGREGATE_FIELDS = ("method", "cr", "ao", "mean_iterations", "repetitions", "exclusions")
 
 
@@ -114,11 +116,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class MethodOutcome:
-    """One method's result on one repetition."""
+    """One method's result on one repetition.
+
+    ``termination`` is why an iterated method stopped (one of the
+    ``core.TERM_*`` constants) and empty for a basic method.
+    """
 
     coef: SparseCoef
     rss: float
     iterations: int
+    termination: str = ""
 
     @property
     def selected(self) -> tuple[int, ...]:
@@ -150,7 +157,8 @@ class MethodTable:
 
 @dataclass(frozen=True)
 class RepetitionRecord:
-    """One audit row: what one method selected on one repetition."""
+    """One audit row: what one method selected on one repetition, and
+    why it stopped (empty for a basic method)."""
 
     rep: int
     method: str
@@ -158,6 +166,7 @@ class RepetitionRecord:
     rss: float
     iterations: int
     selected: tuple[int, ...]
+    termination: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +230,16 @@ def _repetition_methods(
             res = multi_start_foss_fs(
                 problem, M, path, IterationOptions("foss", rel_tol, max_iter)
             )
-            outcomes[method] = MethodOutcome(res.coef, res.final_rss, res.iterations)
+            outcomes[method] = MethodOutcome(
+                res.coef, res.final_rss, res.iterations, res.termination
+            )
         else:
             res = run(
                 problem, inits[base], M, IterationOptions(alg, rel_tol, max_iter)
             )
-            outcomes[method] = MethodOutcome(res.coef, res.final_rss, res.iterations)
+            outcomes[method] = MethodOutcome(
+                res.coef, res.final_rss, res.iterations, res.termination
+            )
     return outcomes
 
 
@@ -351,6 +364,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
                     rss=outcome.rss,
                     iterations=outcome.iterations,
                     selected=outcome.selected,
+                    termination=outcome.termination,
                 )
             )
     if not records:
@@ -398,7 +412,8 @@ def aggregate_records(records, exclusions: int = 0) -> MethodTable:
 
 
 def write_repetition_records(path, records) -> None:
-    """Persist audit records as CSV; selected indices are 1-based."""
+    """Persist audit records as CSV; selected indices are 1-based, and the
+    last column is the termination (empty for a basic method)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPETITION_FIELDS)
@@ -411,6 +426,7 @@ def write_repetition_records(path, records) -> None:
                     repr(r.rss),
                     r.iterations,
                     ";".join(str(j + 1) for j in r.selected),
+                    r.termination,
                 ]
             )
 
@@ -432,6 +448,7 @@ def load_repetition_records(path) -> tuple[RepetitionRecord, ...]:
                     rss=float(row["rss"]),
                     iterations=int(row["iterations"]),
                     selected=selected,
+                    termination=row["termination"],
                 )
             )
     return tuple(records)

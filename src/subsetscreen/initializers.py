@@ -57,17 +57,26 @@ class FsPath:
 
     ``truncated`` is set when the rank budget ran out before reaching
     ``max_size``; ``p`` is the number of columns of the problem.
+    ``gains[size - 1]`` is X'r for the sweep's residual r after ``size``
+    steps, kept for the prefixes whose coefficients come from the sweep's
+    own factor (not for the near-dependent ones after them).
     """
 
     steps: tuple[FsStep, ...]
     max_size: int
     truncated: bool
     p: int
+    gains: np.ndarray
 
     def coef_at(self, size: int) -> SparseCoef:
         """Least-squares estimator of the size-``size`` prefix."""
         step = self.steps[size - 1]
         return _prefix_coef(self.p, step.active, step.coef, size)
+
+    def gains_at(self, size: int) -> np.ndarray | None:
+        """X'(y - X beta) of the size-``size`` prefix from the sweep, or
+        None where the prefix is near-dependent."""
+        return self.gains[size - 1] if size <= self.gains.shape[0] else None
 
 
 def _prefix_coef(p: int, active, values, size: int) -> SparseCoef:
@@ -143,22 +152,28 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
     ``FACTOR_SOLVE_RTOL`` times the largest one or below, that prefix and
     every later one are refit by ``min_norm_least_squares`` instead, so
     near-dependent prefixes keep minimum-norm semantics.
+
+    The path also keeps the sweep's scores X'r after each step up to the
+    first near-dependent one (``FsPath.gains``): in exact arithmetic the
+    sweep's residual is that of the prefix's least-squares fit, so they
+    are the gradients the refitting restarts of ``multi_start_foss_fs``
+    start from.
     """
     n, p = problem.n, problem.p
     if not 1 <= max_size <= min(n - 1, p):
         raise ValueError("max_size must be in [1, min(n - 1, p)]")
 
-    order, _, R, qty, truncated = _greedy_factor(problem, max_size)
+    order, _, R, qty, truncated, gains = _greedy_factor(problem, max_size)
     T, x = np.zeros_like(R), np.zeros_like(qty)  # R^-1; R x = Q'y in selection order
     steps: list[FsStep] = []
-    factor_usable = True
+    usable = 0  # prefixes solved by the running inverse
     for k in range(len(order)):
         by_index = np.argsort(order[: k + 1])
         active = np.asarray(order[: k + 1])[by_index]
         # Every column has norm sqrt(n) and residualizing only shrinks it,
         # so the first diagonal entry is the largest.
-        factor_usable = factor_usable and R[k, k] > FACTOR_SOLVE_RTOL * R[0, 0]
-        if factor_usable:
+        if usable == k and R[k, k] > FACTOR_SOLVE_RTOL * R[0, 0]:
+            usable += 1
             T[k, k] = 1.0 / R[k, k]
             T[:k, k] = -(T[:k, :k] @ R[:k, k]) / R[k, k]
             x[: k + 1] += T[: k + 1, k] * qty[k]
@@ -169,15 +184,18 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
             FsStep(added=order[k], active=tuple(active.tolist()), coef=values)
         )
 
-    return FsPath(steps=tuple(steps), max_size=max_size, truncated=truncated, p=p)
+    return FsPath(
+        steps=tuple(steps), max_size=max_size, truncated=truncated, p=p, gains=gains[:usable]
+    )
 
 
 def _greedy_factor(problem: StandardizedProblem, max_size: int):
     """The greedy column order and the QR factor of the chosen columns.
 
-    Returns ``(order, Q, R, qty, truncated)`` with X[:, order] = Q R, Q
-    orthonormal (n x k), R upper-triangular (k x k) and qty = Q'y, where
-    k = len(order) is ``max_size`` unless the path truncated.
+    Returns ``(order, Q, R, qty, truncated, gains)`` with X[:, order] =
+    Q R, Q orthonormal (n x k), R upper-triangular (k x k), qty = Q'y and
+    ``gains[i]`` = X'r for the residual r after step i + 1, where k =
+    len(order) is ``max_size`` unless the path truncated.
     """
     X = problem.X
     n, p = X.shape
@@ -193,11 +211,16 @@ def _greedy_factor(problem: StandardizedProblem, max_size: int):
     W = np.empty((max_size, p))
     R = np.zeros((max_size, max_size))
     qty = np.empty(max_size)
+    # Row i holds X'r after step i + 1: the scores of step i + 2, and for
+    # the last step one product more.
+    after = np.empty((max_size, p))
 
     for k in range(max_size):
-        if not candidate.any():
-            return order, Q[:, :k], R[:k, :k], qty[:k], True
         gains = X.T @ residual
+        if k:
+            after[k - 1] = gains
+        if not candidate.any():
+            return order, Q[:, :k], R[:k, :k], qty[:k], True, after[:k]
         denom = np.where(candidate, norms2, 1.0)
         scores = np.where(candidate, gains * gains / denom, -np.inf)
         j = int(np.argmax(scores >= scores.max() * (1.0 - TIE_RTOL)))
@@ -225,4 +248,5 @@ def _greedy_factor(problem: StandardizedProblem, max_size: int):
             norms2[stale] = np.einsum("ij,ij->j", E, E)
             candidate[stale] = norms2[stale] > thresh
 
-    return order, Q, R, qty, False
+    after[-1] = X.T @ residual
+    return order, Q, R, qty, False, after

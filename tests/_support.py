@@ -11,12 +11,15 @@ from subsetscreen import standardize
 from subsetscreen.core import (
     ENUMERATION_CAP,
     TERM_CONVERGED,
+    TERM_MAX_ITER,
     EnumerationCapError,
     IterationOptions,
     ScreeningResult,
     SparseCoef,
     exhaustive_best_subset,
     multi_start_window,
+    oss_step,
+    rss,
     run,
 )
 from subsetscreen.numerics import RANK_RTOL, StandardizedProblem, min_norm_least_squares
@@ -241,4 +244,35 @@ def plain_multi_start(problem, M, fs_path, opts=None):
         rss_trace=best.rss_trace,
         iterations=counted.iterations,
         termination=counted.termination,
+    )
+
+
+def reference_oss_run(problem, init, M, opts=IterationOptions(algorithm="oss")):
+    """The plain driver one step at a time, the reference of ``run``'s
+    closed-form jumps over stretches that keep their active set.
+
+    Each iterate is one ``oss_step`` and its objective one ``rss``; the
+    stop rule, the best-iterate rule and the trace are those of ``run``.
+    """
+    coef = SparseCoef.from_dense(init.beta, M)
+    trace = []
+    best, best_rss, prev = None, math.inf, None
+    if coef.active.size <= M:
+        prev = best_rss = rss(problem, coef)
+        best = coef
+        trace.append(prev)
+    iterations, termination = 0, TERM_MAX_ITER
+    for k in range(1, opts.resolved_max_iter() + 1):
+        coef = oss_step(problem, coef)
+        cur = rss(problem, coef)
+        trace.append(cur)
+        iterations = k
+        if cur < best_rss:
+            best, best_rss = coef, cur
+        if prev is not None and (prev - cur) < opts.rel_tol * (prev if prev > 0.0 else 1.0):
+            termination = TERM_CONVERGED
+            break
+        prev = cur
+    return ScreeningResult(
+        coef=best, rss_trace=np.asarray(trace), iterations=iterations, termination=termination
     )

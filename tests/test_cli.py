@@ -365,6 +365,28 @@ class TestSimulate:
         assert (first / "repetitions.csv").read_bytes() == (second / "repetitions.csv").read_bytes()
         assert (first / "aggregate.csv").read_bytes() == (second / "aggregate.csv").read_bytes()
 
+    def test_kronecker_repetitions_same_for_one_and_two_workers(self, tmp_path):
+        # 96 x 528 Kronecker design, oss-sis at the default max_iter: its
+        # runs cross long stretches on one active set in closed form.
+        base = tmp_path / "base.csv"
+        rng = np.random.default_rng(91)
+        np.savetxt(base, rng.choice([-1.0, 1.0], size=(12, 66)), delimiter=",", fmt="%.0f")
+        config = self.base_config(
+            tmp_path, n=None, p=None, rho=None, d=2, sigma=0.5, beta_value=1.0, M=10,
+            repetitions=4, methods=["sis", "oss-sis", "fs", "foss-fs"],
+            design={"kind": "kronecker", "base_design_path": str(base), "hadamard_order": 8},
+        )
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"run{workers}"
+            assert main(["simulate", config, "--out", str(out), "--workers", workers]) == 0
+            written.append((out / "repetitions.csv").read_bytes())
+        assert written[0] == written[1]
+        rows = [line.split(",") for line in written[0].decode().splitlines()[1:]]
+        oss = [row for row in rows if row[1] == "oss-sis"]
+        assert max(int(row[4]) for row in oss) > 100
+        assert {row[-1] for row in oss} == {"converged"}
+
     def test_schema_violation_names_key(self, tmp_path, capsys):
         config = self.base_config(tmp_path, M=25)
         assert main(["simulate", config]) == 2

@@ -37,6 +37,7 @@ from _support import (
     plain_multi_start,
     random_problem,
     reference_hard_threshold,
+    reference_oss_run,
     reference_oss_step,
     reference_refit,
     unique_solution_problem,
@@ -630,6 +631,18 @@ class TestOracleMatchesPlainEnumeration:
         assert 1 <= len(calls) <= 5
         assert tuple(res.coef.active) == (3, 11, 17, 26)
 
+    def test_constant_response_refits_only_the_first_subset(self, monkeypatch):
+        # Every subset fits a zero response exactly: the first one wins
+        # with one refit (scoring every subset would refit all 38,760).
+        rng = np.random.default_rng(73)
+        prob = standardize(rng.standard_normal((30, 20)), np.full(30, 2.0))
+        assert not prob.y.any()
+        calls = count_min_norm_calls(monkeypatch, core)
+        res = exhaustive_best_subset(prob, 6)
+        assert calls == [6]
+        assert res.coef.active.size == 0 and res.final_rss == 0.0
+        assert_same_oracle(prob, 6)
+
     def test_duplicate_column_tie_goes_to_smallest_subset(self):
         rng = np.random.default_rng(71)
         X = rng.standard_normal((60, 30))
@@ -657,3 +670,146 @@ class TestOracleMatchesPlainEnumeration:
             warnings.simplefilter("error")
             for M in range(prob.p + 1):
                 exhaustive_best_subset(prob, M)
+
+
+EPS = np.finfo(float).eps
+
+
+def _slow_pair_problem(duplicate=False, degenerate=False, gamma=0.0, seed=80):
+    """Columns 2 and 3 correlate at 0.98, so the oss iteration on a set
+    holding both contracts by about 0.99 a step along their difference;
+    from beta_2 = beta_3 = 0.5 it moves beta_3 towards 0 geometrically.
+    Column 4 carries ``gamma`` of the response and nothing else, so its
+    candidate stays near gamma n / c, and beta_3 falls below it late (near
+    step 300 for gamma = 0.2).  ``duplicate`` makes column 1 a copy of
+    column 0, so X_A'X_A is singular; ``degenerate`` makes column 7
+    constant."""
+    n, rho = 40, 0.98
+    Q = orthogonal_design(seed, n=n, p=9)  # the last column is noise
+    X = Q[:, :8].copy()
+    if duplicate:
+        X[:, 1] = Q[:, 0]
+    X[:, 3] = rho * Q[:, 2] + np.sqrt(1.0 - rho * rho) * Q[:, 3]
+    if degenerate:
+        X[:, 7] = 3.0
+    y = X[:, 0] + X[:, 2] + gamma * Q[:, 4] + Q[:, 5:7] @ [0.05, 0.03] + 0.3 * Q[:, 8]
+    prob = standardize(X, y)
+    beta = np.zeros(8)
+    beta[:4] = (0.7, 0.1, 0.5, 0.5)
+    return prob, SparseCoef.from_dense(beta, 4), 4
+
+
+def _recorded_jumps(monkeypatch):
+    """Route the oss jump through a recorder of how many steps each covers."""
+    lengths = []
+    jump = core._OssStep._jump
+
+    def recorded(self, *args):
+        out = jump(self, *args)
+        if out is not None:
+            lengths.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(core._OssStep, "_jump", recorded)
+    return lengths
+
+
+def _set_changes(problem, init, M, steps):
+    """Steps at which the step-by-step iteration changes its active set."""
+    coef, changes = SparseCoef.from_dense(init.beta, M), []
+    for k in range(1, steps + 1):
+        stepped = oss_step(problem, coef)
+        if not np.array_equal(stepped.active, coef.active):
+            changes.append(k)
+        coef = stepped
+    return changes
+
+
+def _assert_matches_step_by_step(problem, init, M, opts):
+    """``run`` with jumps against the step-by-step reference loop.
+
+    Active sets, iteration counts and terminations agree exactly.  The
+    objectives agree to a forward-error bound: a formed RSS is within
+    about n u RSS_0 of its exact value (u the unit roundoff), and each of
+    the k steps before it adds at most one more such rounding to the
+    iterate, which the contraction carries on without growth, so step k
+    may differ by 4 (n + k) u RSS_0.  The coefficients obey the same
+    bound relative to the largest of them.
+    """
+    got = run(problem, init, M, opts)
+    ref = reference_oss_run(problem, init, M, opts)
+    assert (got.iterations, got.termination) == (ref.iterations, ref.termination)
+    np.testing.assert_array_equal(got.coef.active, ref.coef.active)
+    assert got.rss_trace.shape == ref.rss_trace.shape
+    k = np.arange(ref.rss_trace.size)
+    bound = 4.0 * (problem.n + k) * EPS * ref.rss_trace[0]
+    assert np.all(np.abs(got.rss_trace - ref.rss_trace) <= bound)
+    scale = np.abs(ref.coef.beta).max()
+    assert np.abs(got.coef.beta - ref.coef.beta).max() <= bound[-1] / ref.rss_trace[0] * scale
+    assert np.all(np.diff(got.rss_trace) <= 0.0)
+    return got, ref
+
+
+class TestOssJumpMatchesStepByStep:
+    """Closed-form jumps over stretches that keep the active set give the
+    step-by-step loop's answer."""
+
+    def test_rank_deficient_set(self, monkeypatch):
+        prob, init, M = _slow_pair_problem(duplicate=True)
+        jumps = _recorded_jumps(monkeypatch)
+        got, _ = _assert_matches_step_by_step(prob, init, M, IterationOptions("oss"))
+        assert got.iterations > 100 and sum(jumps) > 100
+        # The null direction stays where it started: the copies keep their gap.
+        assert got.coef.beta[0] - got.coef.beta[1] == pytest.approx(0.6, abs=1e-12)
+
+    def test_late_set_change(self, monkeypatch):
+        prob, init, M = _slow_pair_problem(gamma=0.2)
+        changes = _set_changes(prob, init, M, 400)
+        # Column 4 replaces column 1 at once, then column 3 near step 300.
+        assert changes[0] == 1 and 200 <= changes[1] <= 350
+        jumps = _recorded_jumps(monkeypatch)
+        got, _ = _assert_matches_step_by_step(prob, init, M, IterationOptions("oss"))
+        assert sum(jumps) >= 50
+        assert 4 in got.coef.active and 3 not in got.coef.active
+
+    def test_jump_ends_at_max_iter(self, monkeypatch):
+        prob, init, M = _slow_pair_problem(gamma=0.2)
+        jumps = _recorded_jumps(monkeypatch)
+        got, _ = _assert_matches_step_by_step(
+            prob, init, M, IterationOptions("oss", max_iter=60)
+        )
+        assert got.termination == core.TERM_MAX_ITER and got.iterations == 60
+        assert sum(jumps) > 40
+
+    def test_stop_rule_fires_inside_a_jump(self, monkeypatch):
+        prob, init, M = _slow_pair_problem()
+        jumps = _recorded_jumps(monkeypatch)
+        opts = IterationOptions("oss", rel_tol=1e-4)
+        got, _ = _assert_matches_step_by_step(prob, init, M, opts)
+        assert got.termination == TERM_CONVERGED
+        assert sum(jumps) > 20 and got.iterations < 250
+
+    def test_degenerate_column_stays_zero(self, monkeypatch):
+        prob, init, M = _slow_pair_problem(gamma=0.2, degenerate=True)
+        assert prob.degenerate[7]
+        jumps = _recorded_jumps(monkeypatch)
+        got, _ = _assert_matches_step_by_step(prob, init, M, IterationOptions("oss"))
+        assert sum(jumps) >= 50 and got.coef.beta[7] == 0.0
+
+    def test_exact_tie_at_the_cut_on_a_kronecker_design(self, monkeypatch):
+        # From zero, the iteration keeps one set for steps 2-55; at step
+        # 56 columns 4 and 18 tie exactly for the last place, and the tie
+        # rule admits 4.  The jump must stop short of that step.
+        prob, _ = _kronecker_problem(7)
+        M = 6
+        coef = SparseCoef.zeros(prob.p, M)
+        for _ in range(55):
+            coef = oss_step(prob, coef)
+        v = coef.beta + prob.X.T @ (prob.y - prob.X @ coef.beta) / prob.c
+        assert abs(v[4]) == abs(v[18]) == np.sort(np.abs(v))[-M]
+        assert 4 in oss_step(prob, coef).active
+        jumps = _recorded_jumps(monkeypatch)
+        got, _ = _assert_matches_step_by_step(
+            prob, SparseCoef.zeros(prob.p, M), M, IterationOptions("oss")
+        )
+        assert sum(jumps) > 100 and 4 in got.coef.active and 18 not in got.coef.active

@@ -279,6 +279,28 @@ class TestRunExperiment:
             assert rebuilt.row(method).ao == result.table.row(method).ao
             assert rebuilt.row(method).mean_iterations == result.table.row(method).mean_iterations
 
+    def test_termination_is_the_last_column(self, tmp_path):
+        methods = ["sis", "oss-sis", "foss-sis", "fs", "foss-fs"]
+        config = small_config(repetitions=3, methods=methods, max_iter=2)
+        result = run_experiment(config)
+        rep_path = tmp_path / "repetitions.csv"
+        write_repetition_records(rep_path, result.records)
+        header = rep_path.read_text().splitlines()[0]
+        assert header == "rep,method,covered,rss,iterations,selected_indices,termination"
+        assert load_repetition_records(rep_path) == result.records
+        for record in result.records:
+            if record.method in ("sis", "fs"):
+                assert record.termination == ""
+            else:
+                assert record.termination in ("converged", "cycle", "max_iter")
+        # Two steps are too few for the plain iteration from most sis starts.
+        plain = [r for r in result.records if r.method == "oss-sis"]
+        assert any(r.termination == "max_iter" for r in plain)
+        assert all((r.termination == "max_iter") == (r.iterations == 2) for r in plain)
+        direct = evaluate_repetition(config, 0)
+        for record in result.records[: len(methods)]:
+            assert record.termination == direct[record.method].termination
+
     def test_table_csv_is_written(self, tmp_path):
         config = small_config(repetitions=2, methods=["sis"])
         result = run_experiment(config)

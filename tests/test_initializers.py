@@ -4,10 +4,12 @@ from scipy.linalg import solve_triangular
 
 from subsetscreen import (
     IterationOptions,
+    core,
     exhaustive_best_subset,
     forward_stepwise,
     initializers,
     isis,
+    multi_start_foss_fs,
     refit_subset,
     rss,
     run,
@@ -200,7 +202,7 @@ class TestForwardStepwise:
         eps = np.finfo(float).eps
         for name, (prob, size) in STEPWISE_FACTOR_CASES.items():
             path = forward_stepwise(prob, size)
-            order, _, R, qty, _ = initializers._greedy_factor(prob, size)
+            order, _, R, qty, _, _ = initializers._greedy_factor(prob, size)
             diag = np.diag(R)
             usable = np.logical_and.accumulate(diag > initializers.FACTOR_SOLVE_RTOL * diag[0]).sum()
             assert usable >= 4, name
@@ -264,6 +266,61 @@ STEPWISE_FACTOR_CASES = {
 }
 
 
+class TestSweepGradients:
+    """``FsPath.gains``: the sweep's X'r, which the multi-start restarts
+    take as their first gradient."""
+
+    @pytest.mark.parametrize("name", sorted(STEPWISE_FACTOR_CASES))
+    def test_matches_the_fresh_gradient(self, name):
+        # Tolerance: the sweep's residual and the prefix fit's residual
+        # differ by X_A times the prefix coefficients' forward error
+        # (at most 8 k eps cond(R_k) max|beta|, the bound of the test
+        # above) plus the rounding of forming the fresh residual, and
+        # |x_j'd| <= sqrt(n) ||d||, so for every prefix the factor solves
+        #   max|gains - X'(y - X beta)| <= 8 k eps cond(R_k) sqrt(n) a,
+        # with a = ||y|| + sqrt(n) ||beta||_1.
+        prob, size = STEPWISE_FACTOR_CASES[name]
+        eps = np.finfo(float).eps
+        path = forward_stepwise(prob, size)
+        _, _, R, _, _, _ = initializers._greedy_factor(prob, size)
+        assert path.gains.shape == (path.gains.shape[0], prob.p)
+        for k in range(1, path.gains.shape[0] + 1):
+            coef = path.coef_at(k)
+            fresh = prob.X.T @ (prob.y - prob.X @ coef.beta)
+            a = np.linalg.norm(prob.y) + np.sqrt(prob.n) * np.abs(coef.beta).sum()
+            bound = 8 * k * eps * np.linalg.cond(R[:k, :k]) * np.sqrt(prob.n) * a
+            assert np.abs(path.gains_at(k) - fresh).max() <= bound, (name, k)
+
+    def test_near_dependent_prefixes_keep_the_fresh_gradient(self, monkeypatch):
+        # Column 5 is column 0 plus a 1e-7 perturbation: from the step that
+        # adds the second of them, prefixes are refit by the minimum-norm
+        # solver, and restarts from them form X'r afresh.
+        rng = np.random.default_rng(60)
+        base = rng.standard_normal((40, 5))
+        e = rng.standard_normal(40)
+        X = np.hstack([base, base[:, [0]] + 1e-7 * e[:, None]])
+        prob = standardize(X, base @ np.array([1.0, -1.0, 0.5, 0.0, 0.0]) + 3.0 * e)
+        path = forward_stepwise(prob, 6)
+        added = [step.added for step in path.steps]
+        late = max(added.index(0), added.index(5))
+        assert path.gains.shape[0] == late
+        assert all(path.gains_at(k) is None for k in range(late + 1, 7))
+
+        starts = []
+        iterate = core._iterate
+
+        def recorded(problem, init, M, opts, step):
+            starts.append((init.active.size, step.start))
+            return iterate(problem, init, M, opts, step)
+
+        monkeypatch.setattr(core, "_iterate", recorded)
+        for M in (late, late + 1):
+            multi_start_foss_fs(prob, M, path)
+        assert [size for size, _ in starts] == [late, late + 1]
+        assert np.array_equal(starts[0][1], path.gains_at(late))
+        assert starts[1][1] is None
+
+
 GREEDY_CASES = {
     "random": lambda seed: random_problem(seed, n=40, p=15, d=4),
     "correlated": lambda seed: correlated_problem(seed, n=40, p=15, d=4, rho=0.9),
@@ -306,7 +363,7 @@ class TestStepwiseIsExactlyGreedy:
             prob = correlated_problem(66, n=120, p=400, d=3, rho=0.9)
         else:
             prob = near_collinear_problem(66, n=120, p=160, scale=1e-4)
-        order, Q, R, qty, truncated = initializers._greedy_factor(prob, 60)
+        order, Q, R, qty, truncated, _ = initializers._greedy_factor(prob, 60)
         assert len(order) == 60 and not truncated
         assert np.linalg.norm(Q.T @ Q - np.eye(60)) <= 1e-12
         scale = np.sqrt(prob.n)
