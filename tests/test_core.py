@@ -699,6 +699,22 @@ def _slow_pair_problem(duplicate=False, degenerate=False, gamma=0.0, seed=80):
     return prob, SparseCoef.from_dense(beta, 4), 4
 
 
+def _one_moving_coordinate(gamma=0.0, seed=80):
+    """From its start on {0, 2, 3, 5}, the oss iteration moves only
+    beta_3, by a factor of about 0.99 a step towards 0 (columns 2 and 3
+    correlate at 0.98); column 4 carries ``gamma`` Q_4 of the response,
+    so its candidate stays at gamma x_4'Q_4 / c.  Returns the problem, the
+    start and Q."""
+    n, rho = 40, 0.98
+    Q = orthogonal_design(seed, n=n, p=9)  # the last column is noise
+    X = Q[:, :8].copy()
+    X[:, 3] = rho * Q[:, 2] + np.sqrt(1.0 - rho * rho) * Q[:, 3]
+    y = X[:, 0] + X[:, 2] + 0.5 * X[:, 5] + gamma * Q[:, 4] + 0.03 * Q[:, 6] + 0.3 * Q[:, 8]
+    beta = np.zeros(8)
+    beta[[0, 2, 3, 5]] = (1.0, 0.5, 0.5, 0.5)
+    return standardize(X, y), SparseCoef.from_dense(beta, 4), Q
+
+
 def _recorded_jumps(monkeypatch):
     """Route the oss jump through a recorder of how many steps each covers."""
     lengths = []
@@ -712,6 +728,23 @@ def _recorded_jumps(monkeypatch):
 
     monkeypatch.setattr(core._OssStep, "_jump", recorded)
     return lengths
+
+
+def _recorded_jump_spans(monkeypatch, max_iter):
+    """Route the oss jump through a recorder of the steps each covers,
+    as (first, last) iteration numbers of a run with this ``max_iter``."""
+    spans = []
+    jump = core._OssStep._jump
+
+    def recorded(self, coef, residual, gradient, budget):
+        out = jump(self, coef, residual, gradient, budget)
+        if out is not None:
+            done = max_iter - budget
+            spans.append((done + 1, done + len(out[2])))
+        return out
+
+    monkeypatch.setattr(core._OssStep, "_jump", recorded)
+    return spans
 
 
 def _set_changes(problem, init, M, steps):
@@ -795,6 +828,45 @@ class TestOssJumpMatchesStepByStep:
         jumps = _recorded_jumps(monkeypatch)
         got, _ = _assert_matches_step_by_step(prob, init, M, IterationOptions("oss"))
         assert sum(jumps) >= 50 and got.coef.beta[7] == 0.0
+
+    def test_margin_within_rounding_is_left_to_the_ordinary_step(self, monkeypatch):
+        # gamma is set so that at step 150 the least |beta| on the set
+        # (beta_3) exceeds column 4's candidate by 1e-13: a clear margin
+        # for the step-by-step loop (its rounding is near 1e-17 there) but
+        # inside the jump's bound tau_k, which is at least 128 e_cand,
+        # about 5e-13 here.  So no jump may cross step 150; the set
+        # changes at step 151.
+        tie, delta = 150, 1e-13
+        prob, init, Q = _one_moving_coordinate()
+        coef = init
+        for _ in range(tie):
+            coef = oss_step(prob, coef)
+        gamma = (abs(coef.beta[3]) - delta) * prob.c / (prob.X[:, 4] @ Q[:, 4])
+        prob, init, _ = _one_moving_coordinate(gamma)
+        assert _set_changes(prob, init, 4, tie + 1) == [tie + 1]
+        spans = _recorded_jump_spans(monkeypatch, 10_000)
+        _assert_matches_step_by_step(prob, init, 4, IterationOptions("oss"))
+        assert spans and not any(first <= tie <= last for first, last in spans)
+        assert any(last == tie - 1 for _, last in spans)
+
+    def test_stop_test_within_rounding_is_left_to_the_ordinary_step(self, monkeypatch):
+        # rel_tol is set so that at step 150 the decrease exceeds rel_tol
+        # times the objective by 3e-13: clear for the step-by-step loop
+        # (its two RSS values round by about 1e-14) but inside the jump's
+        # bound rho_k, which is at least 16 e_rss, about 2e-12 here.  So
+        # no jump may cross step 150, and the stop rule fires at step 151.
+        stop, excess = 150, 3e-13
+        prob, init, _ = _one_moving_coordinate()
+        trace = reference_oss_run(
+            prob, init, 4, IterationOptions("oss", rel_tol=0.0, max_iter=stop)
+        ).rss_trace
+        rel_tol = (trace[-2] - trace[-1] - excess) / trace[-2]
+        opts = IterationOptions("oss", rel_tol=rel_tol)
+        spans = _recorded_jump_spans(monkeypatch, opts.resolved_max_iter())
+        got, _ = _assert_matches_step_by_step(prob, init, 4, opts)
+        assert got.termination == TERM_CONVERGED and got.iterations == stop + 1
+        assert spans and not any(first <= stop <= last for first, last in spans)
+        assert any(last == stop - 1 for _, last in spans)
 
     def test_exact_tie_at_the_cut_on_a_kronecker_design(self, monkeypatch):
         # From zero, the iteration keeps one set for steps 2-55; at step
