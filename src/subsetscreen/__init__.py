@@ -33,7 +33,6 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     MethodAggregate,
-    MethodOutcome,
     MethodTable,
     RepetitionRecord,
     aggregate_records,

@@ -168,12 +168,12 @@ def cmd_screen(args, argv) -> int:
         "requested_subset_size": requested_m,
         "n": int(n),
         "p": int(p),
-        "selected": [int(j) + 1 for j in outcome.selected],
+        "selected": [int(j) + 1 for j in outcome.coef.active],
         "coefficients": [
-            {"index": int(j) + 1, "value": float(slope[j])} for j in outcome.selected
+            {"index": int(j) + 1, "value": float(slope[j])} for j in outcome.coef.active
         ],
         "intercept": float(intercept),
-        "rss": float(outcome.rss),
+        "rss": outcome.final_rss,
         "iterations": int(outcome.iterations),
     }
     if X_test is not None:

@@ -19,9 +19,10 @@ X'X_A per set, then one GEMM per block of future steps evaluates their
 candidates and cancellation-free objective decreases.  The jump stops
 before the first step whose set could differ, whose stop test could
 fire (both judged with a stated rounding allowance), or at the
-iteration cap, and the ordinary step takes over from there.  The
-multi-start restarts take their first gradient from the stepwise
-sweep's X'r instead of forming it.
+iteration cap, and the ordinary step takes over from there.  ``run``
+and the multi-start restarts share one refitting step; the restarts
+take their first gradient from the stepwise sweep's X'r instead of
+forming it.
 
 The oracle scores every subset S by a Householder QR of [X_S, y], many
 subsets per LAPACK call (the last diagonal entry of R is the residual
@@ -134,6 +135,8 @@ class IterationOptions:
     def __post_init__(self):
         if self.algorithm not in DEFAULT_MAX_ITER:
             raise ValueError(f"algorithm must be one of {tuple(DEFAULT_MAX_ITER)}")
+        if not math.isfinite(self.rel_tol):
+            raise ValueError("rel_tol must be finite")
         if self.rel_tol < 0.0:
             raise ValueError("rel_tol must be nonnegative")
         if self.max_iter is not None and self.max_iter < 1:
@@ -161,6 +164,10 @@ class ScreeningResult:
     and ``termination`` those of the smallest-prefix restart that ends on
     the same active set, so ``len(rss_trace)`` need not match
     ``iterations``.
+
+    The experiments harness reports a basic method (a screener's
+    estimate, not iterated) as a result too: its ``rss_trace`` holds the
+    estimate's RSS alone, ``iterations`` is 0 and ``termination`` empty.
     """
 
     coef: SparseCoef
@@ -213,11 +220,9 @@ def hard_threshold(x, M: int) -> np.ndarray:
     return np.where(keep, x, 0.0)
 
 
-def _gradient(problem: StandardizedProblem, coef: SparseCoef, residual=None) -> np.ndarray:
-    """X'(y - X beta), from ``residual`` when it is already formed."""
-    if residual is None:
-        residual = _residual(problem, coef)
-    return problem.X.T @ residual
+def _gradient(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
+    """X'(y - X beta)."""
+    return problem.X.T @ _residual(problem, coef)
 
 
 def _thresholded(problem: StandardizedProblem, coef: SparseCoef, gradient) -> np.ndarray:
@@ -244,14 +249,13 @@ def oss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
     return SparseCoef.from_dense(stepped, coef.bound)
 
 
-def foss_step(problem: StandardizedProblem, coef: SparseCoef, residual=None) -> SparseCoef:
+def foss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
     """Thresholded gradient step followed by a least-squares refit.
 
     The refit on the thresholded active set gives an objective no larger
     than the plain step's, which in turn is no larger than the input's.
-    ``residual``, when given, is the already formed y - X beta of ``coef``.
     """
-    stepped = _thresholded(problem, coef, _gradient(problem, coef, residual))
+    stepped = _thresholded(problem, coef, _gradient(problem, coef))
     return refit_subset(problem, np.flatnonzero(stepped), coef.bound)
 
 
@@ -282,16 +286,13 @@ def run(
     variant) an active set repeats, or at the iteration cap.  The
     returned coefficients are the lowest-objective iterate seen.  The
     plain variant crosses stretches that keep their active set in closed
-    form (see ``_OssStep``).
+    form (see ``_OssStep``); the refitting variant steps through
+    ``_FossStep``, the step of the multi-start restarts.
     """
     if opts.algorithm == "oss":
         step = _OssStep(problem, opts.rel_tol)
     else:
-        def step(coef, residual, source, budget):
-            coef = foss_step(problem, coef, residual)
-            r = _residual(problem, coef)
-            return coef, r, [float(r @ r)], None
-
+        step = _FossStep(problem)
     return _iterate(problem, init, M, opts, step)
 
 
@@ -550,7 +551,7 @@ class _OssStep:
         return jumped, r, [*values.tolist(), final], None
 
 
-class _MemoizedRefitStep:
+class _FossStep:
     """The refitting step of one problem, memoized by the set it refits.
 
     The refit on a set S, its residual and objective, and the set the
@@ -558,7 +559,10 @@ class _MemoizedRefitStep:
     is computed once per S.  A step from a point that is not such a
     refit (a restart's starting point, ``source`` None) computes its set
     afresh, from ``start`` as its X'r when that is set and else from the
-    residual.
+    residual.  The memo pays off across the restarts of
+    ``multi_start_foss_fs``.  Within one ``run`` it can hit only on the
+    step that reaches a set for the second time, which ends the run as a
+    cycle, and then it returns the refit that step would compute.
     """
 
     def __init__(self, problem: StandardizedProblem):
@@ -639,7 +643,7 @@ def multi_start_foss_fs(
     lo = min(lo, hi)
     if hi < 1:
         raise ValueError("stepwise path is empty")
-    step = _MemoizedRefitStep(problem)
+    step = _FossStep(problem)
     best = None
     best_key = None
     first_on_set: dict[tuple[int, ...], ScreeningResult] = {}

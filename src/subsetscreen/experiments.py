@@ -5,6 +5,10 @@ generative model (or a fixed two-level design), collects per-repetition
 records for audit, and aggregates two criteria per method: the coverage
 rate (fraction of repetitions whose selected set contains the true
 support) and the average objective (mean final residual sum of squares).
+Every method's result on a repetition is a ``core.ScreeningResult``: the
+one ``run`` or ``multi_start_foss_fs`` returns for an iterated method,
+and for a basic method its estimate with its RSS, 0 iterations and an
+empty termination.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from .core import (
     DEFAULT_REL_TOL,
     IterationOptions,
+    ScreeningResult,
     SparseCoef,
     multi_start_foss_fs,
     multi_start_window,
@@ -44,7 +49,6 @@ __all__ = [
     "ConfigError",
     "DesignSpec",
     "ExperimentConfig",
-    "MethodOutcome",
     "MethodAggregate",
     "MethodTable",
     "RepetitionRecord",
@@ -114,24 +118,6 @@ class ExperimentConfig:
         return tuple(self.model.true_model().support.tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class MethodOutcome:
-    """One method's result on one repetition.
-
-    ``termination`` is why an iterated method stopped (one of the
-    ``core.TERM_*`` constants) and empty for a basic method.
-    """
-
-    coef: SparseCoef
-    rss: float
-    iterations: int
-    termination: str = ""
-
-    @property
-    def selected(self) -> tuple[int, ...]:
-        return tuple(int(j) for j in self.coef.active)
-
-
 @dataclass(frozen=True)
 class MethodAggregate:
     method: str
@@ -194,7 +180,7 @@ def _repetition_methods(
     rel_tol: float | None = None,
     max_iter: int | None = None,
     isis_batch: int | None = None,
-) -> dict[str, MethodOutcome]:
+) -> dict[str, ScreeningResult]:
     """Run every configured method on one standardized problem.
 
     Initializers are computed once and shared between a basic method and
@@ -221,24 +207,18 @@ def _repetition_methods(
         path = forward_stepwise(problem, min(fs_size, min(problem.n - 1, problem.p)))
         inits["fs"] = path.coef_at(min(M, len(path.steps)))
 
-    outcomes: dict[str, MethodOutcome] = {}
+    outcomes: dict[str, ScreeningResult] = {}
     for method, alg, base in parsed:
         if alg is None:
             coef = inits[base]
-            outcomes[method] = MethodOutcome(coef, rss(problem, coef), 0)
+            outcomes[method] = ScreeningResult(coef, np.array([rss(problem, coef)]), 0, "")
         elif alg == "foss" and base == "fs":
-            res = multi_start_foss_fs(
+            outcomes[method] = multi_start_foss_fs(
                 problem, M, path, IterationOptions("foss", rel_tol, max_iter)
             )
-            outcomes[method] = MethodOutcome(
-                res.coef, res.final_rss, res.iterations, res.termination
-            )
         else:
-            res = run(
+            outcomes[method] = run(
                 problem, inits[base], M, IterationOptions(alg, rel_tol, max_iter)
-            )
-            outcomes[method] = MethodOutcome(
-                res.coef, res.final_rss, res.iterations, res.termination
             )
     return outcomes
 
@@ -249,7 +229,7 @@ def run_method(
     M: int,
     rel_tol: float | None = None,
     max_iter: int | None = None,
-) -> MethodOutcome:
+) -> ScreeningResult:
     """Run a single method by name on an already-standardized problem."""
     return _repetition_methods(
         problem, [method], M, rel_tol=rel_tol, max_iter=max_iter
@@ -290,7 +270,7 @@ def _fixed_design(path: str, order: int) -> tuple[np.ndarray, PreparedDesign]:
 
 def evaluate_repetition(
     config: ExperimentConfig, rep_index: int
-) -> dict[str, MethodOutcome]:
+) -> dict[str, ScreeningResult]:
     """Generate one repetition's data and run every configured method on it.
 
     The design and the noise come from separate child streams of the
@@ -356,14 +336,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
             continue
         for method in config.methods:
             outcome = outcome_map[method]
+            selected = tuple(outcome.coef.active.tolist())
             records.append(
                 RepetitionRecord(
                     rep=rep_index,
                     method=method,
-                    covered=int(support.issubset(outcome.selected)),
-                    rss=outcome.rss,
+                    covered=int(support.issubset(selected)),
+                    rss=outcome.final_rss,
                     iterations=outcome.iterations,
-                    selected=outcome.selected,
+                    selected=selected,
                     termination=outcome.termination,
                 )
             )

@@ -11,16 +11,17 @@ from subsetscreen import standardize
 from subsetscreen.core import (
     ENUMERATION_CAP,
     TERM_CONVERGED,
+    TERM_CYCLE,
     TERM_MAX_ITER,
     EnumerationCapError,
     IterationOptions,
     ScreeningResult,
     SparseCoef,
     exhaustive_best_subset,
+    foss_step,
     multi_start_window,
     oss_step,
     rss,
-    run,
 )
 from subsetscreen.numerics import RANK_RTOL, StandardizedProblem, min_norm_least_squares
 
@@ -221,10 +222,11 @@ def plain_multi_start(problem, M, fs_path, opts=None):
     """Refitting driver restarted from a window of stepwise prefixes.
 
     The restart loop that ``multi_start_foss_fs`` memoized, kept as its
-    reference: every restart is a separate ``run``, which refits every
-    active set it reaches.  The coefficients come from the restart with
-    the smallest (final objective, active set); the iteration count and
-    termination from the first restart that ends on that set.
+    reference: every restart is a separate ``reference_run``, which
+    refits every active set it reaches.  The coefficients come from the
+    restart with the smallest (final objective, active set); the
+    iteration count and termination from the first restart that ends on
+    that set.
     """
     if opts is None:
         opts = IterationOptions(algorithm="foss")
@@ -235,7 +237,9 @@ def plain_multi_start(problem, M, fs_path, opts=None):
     lo = min(lo, hi)
     if hi < 1:
         raise ValueError("stepwise path is empty")
-    results = [run(problem, fs_path.coef_at(size), M, opts) for size in range(lo, hi + 1)]
+    results = [
+        reference_run(problem, fs_path.coef_at(size), M, opts) for size in range(lo, hi + 1)
+    ]
     best = min(results, key=lambda r: (r.final_rss, tuple(r.coef.active.tolist())))
     # The count is the one of the smallest prefix that reaches the set.
     counted = next(r for r in results if np.array_equal(r.coef.active, best.coef.active))
@@ -247,13 +251,18 @@ def plain_multi_start(problem, M, fs_path, opts=None):
     )
 
 
-def reference_oss_run(problem, init, M, opts=IterationOptions(algorithm="oss")):
-    """The plain driver one step at a time, the reference of ``run``'s
-    closed-form jumps over stretches that keep their active set.
+def reference_run(problem, init, M, opts):
+    """The driver one step at a time, the reference of ``run``: of its
+    closed-form jumps over ``oss`` stretches that keep their active set,
+    and of the memoized refit step it shares with the multi-start
+    restarts.
 
-    Each iterate is one ``oss_step`` and its objective one ``rss``; the
-    stop rule, the best-iterate rule and the trace are those of ``run``.
+    Each iterate is one ``oss_step`` or ``foss_step`` and its objective
+    one ``rss``; the stop rule, the cycle rule of the refitting variant,
+    the iteration cap, the best-iterate rule and the trace are those of
+    ``run``.
     """
+    step = oss_step if opts.algorithm == "oss" else foss_step
     coef = SparseCoef.from_dense(init.beta, M)
     trace = []
     best, best_rss, prev = None, math.inf, None
@@ -261,9 +270,10 @@ def reference_oss_run(problem, init, M, opts=IterationOptions(algorithm="oss")):
         prev = best_rss = rss(problem, coef)
         best = coef
         trace.append(prev)
+    visited = set()
     iterations, termination = 0, TERM_MAX_ITER
     for k in range(1, opts.resolved_max_iter() + 1):
-        coef = oss_step(problem, coef)
+        coef = step(problem, coef)
         cur = rss(problem, coef)
         trace.append(cur)
         iterations = k
@@ -272,6 +282,12 @@ def reference_oss_run(problem, init, M, opts=IterationOptions(algorithm="oss")):
         if prev is not None and (prev - cur) < opts.rel_tol * (prev if prev > 0.0 else 1.0):
             termination = TERM_CONVERGED
             break
+        if opts.algorithm == "foss":
+            key = tuple(coef.active.tolist())
+            if key in visited:
+                termination = TERM_CYCLE
+                break
+            visited.add(key)
         prev = cur
     return ScreeningResult(
         coef=best, rss_trace=np.asarray(trace), iterations=iterations, termination=termination

@@ -249,6 +249,17 @@ class TestScreen:
         x_path, y_path = write_xy(tmp_path, X, X[:, 0])
         assert main(["screen", x_path, y_path, "--method", "lar"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_rel_tol_exits_2_without_output(self, tmp_path, capsys, value):
+        rng = np.random.default_rng(73)
+        X = rng.standard_normal((10, 3))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        out = tmp_path / "result.json"
+        argv = ["screen", x_path, y_path, "--method", "oss-sis", "-M", "1", "--rel-tol", value]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "rel_tol must be finite" in capsys.readouterr().err
+
     def test_refit_method_reports_no_worse_rss(self, tmp_path):
         # The per-step guarantee (a refit step never fits worse than the
         # plain step) does not force both drivers to a common limit, so

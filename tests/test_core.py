@@ -10,6 +10,8 @@ from subsetscreen import (
     IterationOptions,
     SparseCoef,
     TERM_CONVERGED,
+    TERM_CYCLE,
+    TERM_MAX_ITER,
     exhaustive_best_subset,
     foss_step,
     hard_threshold,
@@ -37,9 +39,9 @@ from _support import (
     plain_multi_start,
     random_problem,
     reference_hard_threshold,
-    reference_oss_run,
     reference_oss_step,
     reference_refit,
+    reference_run,
     unique_solution_problem,
 )
 
@@ -356,6 +358,9 @@ class TestDrivers:
             IterationOptions("oss", rel_tol=-1.0)
         with pytest.raises(ValueError):
             IterationOptions("oss", max_iter=0)
+        for rel_tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                IterationOptions("foss", rel_tol=rel_tol)
 
 
 class TestMultiStart:
@@ -473,6 +478,40 @@ class TestMultiStartMatchesPlainRestarts:
             np.testing.assert_array_equal(res.coef.active, base.coef.active)
             assert res.iterations == base.iterations
             assert res.termination == base.termination
+
+
+# Option sets that end the refitting runs of the cases below on each of
+# the three terminations: a fixed point at the default tolerance, a
+# repeated set when no decrease counts as too small, and a cap of two steps.
+FOSS_ENDINGS = {
+    TERM_CONVERGED: IterationOptions("foss"),
+    TERM_CYCLE: IterationOptions("foss", rel_tol=0.0),
+    TERM_MAX_ITER: IterationOptions("foss", max_iter=2),
+}
+
+
+class TestFossRunMatchesStepByStep:
+    """``run``'s refitting variant, through the memoized step it shares
+    with the multi-start restarts, gives the ``foss_step`` loop's answer
+    bit for bit."""
+
+    @pytest.mark.parametrize("ending", sorted(FOSS_ENDINGS))
+    @pytest.mark.parametrize("case", sorted(MULTI_START_CASES))
+    def test_bitwise_equal(self, case, ending):
+        prob, M = MULTI_START_CASES[case]()
+        opts = FOSS_ENDINGS[ending]
+        path = forward_stepwise(prob, multi_start_window(prob.n, prob.p, M)[1])
+        starts = [SparseCoef.zeros(prob.p, M), sis(prob, M)]
+        starts += [path.coef_at(size) for size in range(1, len(path.steps) + 1)]
+        endings = set()
+        for init in starts:
+            got = run(prob, init, M, opts)
+            ref = reference_run(prob, init, M, opts)
+            assert got.coef.beta.tobytes() == ref.coef.beta.tobytes()
+            assert got.rss_trace.tobytes() == ref.rss_trace.tobytes()
+            assert (got.iterations, got.termination) == (ref.iterations, ref.termination)
+            endings.add(got.termination)
+        assert ending in endings
 
 
 class TestExhaustive:
@@ -770,7 +809,7 @@ def _assert_matches_step_by_step(problem, init, M, opts):
     bound relative to the largest of them.
     """
     got = run(problem, init, M, opts)
-    ref = reference_oss_run(problem, init, M, opts)
+    ref = reference_run(problem, init, M, opts)
     assert (got.iterations, got.termination) == (ref.iterations, ref.termination)
     np.testing.assert_array_equal(got.coef.active, ref.coef.active)
     assert got.rss_trace.shape == ref.rss_trace.shape
@@ -857,7 +896,7 @@ class TestOssJumpMatchesStepByStep:
         # no jump may cross step 150, and the stop rule fires at step 151.
         stop, excess = 150, 3e-13
         prob, init, _ = _one_moving_coordinate()
-        trace = reference_oss_run(
+        trace = reference_run(
             prob, init, 4, IterationOptions("oss", rel_tol=0.0, max_iter=stop)
         ).rss_trace
         rel_tol = (trace[-2] - trace[-1] - excess) / trace[-2]

@@ -157,30 +157,30 @@ class TestEvaluateRepetition:
         )
         outcomes = evaluate_repetition(config, 0)
         for outcome in outcomes.values():
-            assert {0, 1} <= set(outcome.selected)
-            assert outcome.rss <= 1e-6
+            assert {0, 1} <= set(tuple(outcome.coef.active))
+            assert outcome.final_rss <= 1e-6
 
     def test_same_rep_is_deterministic(self):
         config = small_config()
         a = evaluate_repetition(config, 2)
         b = evaluate_repetition(config, 2)
         for method in config.methods:
-            assert a[method].selected == b[method].selected
-            assert a[method].rss == b[method].rss
+            assert tuple(a[method].coef.active) == tuple(b[method].coef.active)
+            assert a[method].final_rss == b[method].final_rss
 
     def test_refit_never_worse_per_repetition(self):
         config = small_config(repetitions=8, methods=["sis", "foss-sis", "fs", "foss-fs"])
         for rep in range(config.repetitions):
             outcomes = evaluate_repetition(config, rep)
-            assert outcomes["foss-sis"].rss <= outcomes["sis"].rss * (1 + 1e-9)
-            assert outcomes["foss-fs"].rss <= outcomes["fs"].rss * (1 + 1e-9)
+            assert outcomes["foss-sis"].final_rss <= outcomes["sis"].final_rss * (1 + 1e-9)
+            assert outcomes["foss-fs"].final_rss <= outcomes["fs"].final_rss * (1 + 1e-9)
 
     def test_stepwise_covers_large_sparse_cell(self):
         config = small_config(
             n=200, p=500, d=10, M=30, repetitions=1, methods=["fs"], seed=123
         )
         outcomes = evaluate_repetition(config, 0)
-        assert set(range(10)) <= set(outcomes["fs"].selected)
+        assert set(range(10)) <= set(tuple(outcomes["fs"].coef.active))
 
 
 def records_of(result, method):
@@ -223,11 +223,11 @@ class TestRunExperiment:
         for method in config.methods:
             (record,) = records_of(result, method)
             outcome = direct[method]
-            assert record.selected == outcome.selected
-            assert record.rss == outcome.rss
-            assert record.covered == int(support <= set(outcome.selected))
+            assert record.selected == tuple(outcome.coef.active)
+            assert record.rss == outcome.final_rss
+            assert record.covered == int(support <= set(tuple(outcome.coef.active)))
             assert result.table.row(method).cr == record.covered
-            assert result.table.row(method).ao == outcome.rss
+            assert result.table.row(method).ao == outcome.final_rss
 
     def test_worker_count_does_not_change_output(self):
         config = small_config(repetitions=6, methods=["sis", "foss-sis"])
