@@ -43,10 +43,11 @@ from .experiments import (
     method_catalog,
     run_experiment,
     run_method,
+    write_exclusions,
     write_method_table,
     write_repetition_records,
 )
-from .initializers import FsPath, FsStep, forward_stepwise, isis, sis
+from .initializers import FsPath, FsStep, forward_stepwise, forward_stepwise_paths, isis, sis
 from .numerics import (
     PreparedDesign,
     StandardizedProblem,

@@ -28,6 +28,7 @@ from .experiments import (
     method_catalog,
     run_experiment,
     run_method,
+    write_exclusions,
     write_method_table,
     write_repetition_records,
 )
@@ -146,6 +147,8 @@ def cmd_screen(args, argv) -> int:
                 )
 
     requested_m = args.subset_size
+    if requested_m < 1:
+        raise _Failure(EXIT_DIMENSION, f"-M {requested_m} selects nothing: it must be at least 1")
     M = min(requested_m, X.shape[0] - 1, X.shape[1])
     if M < 1:
         raise _Failure(EXIT_DIMENSION, "not enough rows/columns to select anything")
@@ -228,17 +231,19 @@ def cmd_simulate(args, argv) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     agg_path = out_dir / "aggregate.csv"
     rep_path = out_dir / "repetitions.csv"
+    excl_path = out_dir / "exclusions.csv"
     write_method_table(agg_path, result.table)
     write_repetition_records(rep_path, result.records)
+    write_exclusions(excl_path, result.exclusions)
     _write_manifest(
         out_dir / "manifest.json",
         "simulate",
         config_to_dict(config),
-        {"aggregate": agg_path, "repetitions": rep_path},
+        {"aggregate": agg_path, "repetitions": rep_path, "exclusions": excl_path},
         argv,
     )
     if result.exclusions:
-        print(f"excluded {len(result.exclusions)} repetition(s) due to failures")
+        print(f"excluded {len(result.exclusions)} repetition(s) due to failures (see {excl_path})")
     print(f"wrote {agg_path} and {rep_path}")
     return EXIT_OK
 

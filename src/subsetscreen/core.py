@@ -20,9 +20,10 @@ candidates and cancellation-free objective decreases.  The jump stops
 before the first step whose set could differ, whose stop test could
 fire (both judged with a stated rounding allowance), or at the
 iteration cap, and the ordinary step takes over from there.  ``run``
-and the multi-start restarts share one refitting step; the restarts
-take their first gradient from the stepwise sweep's X'r instead of
-forming it.
+and the multi-start restarts share one refitting iteration, memoized by
+set: a run is the walk from the set its first step reaches, so the
+restarts walk each distinct first set once, and they take their first
+gradients from the stepwise sweep's X'r instead of forming them.
 
 The oracle scores every subset S by a Householder QR of [X_S, y], many
 subsets per LAPACK call (the last diagonal entry of R is the residual
@@ -86,6 +87,9 @@ SCORE_SLACK = 1024.0
 
 # Entries per stacked [X_S, y] block that the oracle factors in one call.
 SUBSET_BATCH = 1 << 16
+
+# Stepwise prefixes whose first multi-start sets are thresholded together.
+FIRST_SET_ROWS = 16
 
 
 class EnumerationCapError(ValueError):
@@ -211,13 +215,25 @@ def hard_threshold(x, M: int) -> np.ndarray:
         return x.copy()
     if M == 0:
         return np.zeros_like(x)
-    magnitude = np.abs(x)
-    cut = np.partition(magnitude, p - M)[p - M]
+    return np.where(_largest(np.abs(x), M), x, 0.0)
+
+
+def _largest(magnitude: np.ndarray, M: int) -> np.ndarray:
+    """The mask ``hard_threshold`` keeps along the last axis of
+    ``magnitude`` (p entries, 1 <= M < p): every entry at or above the
+    M-th largest, less the last of those equal to it that overflow the
+    M places.  A 2-D ``magnitude`` is thresholded row by row."""
+    p = magnitude.shape[-1]
+    cut = np.partition(magnitude, p - M, axis=-1)[..., p - M : p - M + 1]
     keep = magnitude >= cut
-    extra = np.count_nonzero(keep) - M
-    if extra:
-        keep[np.flatnonzero(magnitude == cut)[-extra:]] = False
-    return np.where(keep, x, 0.0)
+    # Each row keeps at least M entries, so no row overflows when the
+    # total is M per row.
+    if np.count_nonzero(keep) > keep.size // p * M:
+        rows, magnitude, cut = keep.reshape(-1, p), magnitude.reshape(-1, p), cut.reshape(-1)
+        for i in np.flatnonzero(rows.sum(axis=1) > M):
+            extra = int(rows[i].sum()) - M
+            rows[i, np.flatnonzero(magnitude[i] == cut[i])[-extra:]] = False
+    return keep
 
 
 def _gradient(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
@@ -286,51 +302,45 @@ def run(
     variant) an active set repeats, or at the iteration cap.  The
     returned coefficients are the lowest-objective iterate seen.  The
     plain variant crosses stretches that keep their active set in closed
-    form (see ``_OssStep``); the refitting variant steps through
-    ``_FossStep``, the step of the multi-start restarts.
-    """
-    if opts.algorithm == "oss":
-        step = _OssStep(problem, opts.rel_tol)
-    else:
-        step = _FossStep(problem)
-    return _iterate(problem, init, M, opts, step)
-
-
-def _iterate(problem, init, M, opts, step) -> ScreeningResult:
-    """The loop of ``run``, over the step map ``step``.
-
-    ``step(coef, residual, source, budget)`` receives an iterate, its
-    residual y - X beta, the key the previous call returned (``None``
-    for the starting point) and the number of steps left.  It returns
-    ``(coef, residual, values, source)``: the iterate after
-    ``len(values)`` steps (between 1 and ``budget``), its residual, the
-    objective after each of those steps, and a key for the next call.
-    Every value but the last belongs to a step already known to keep
-    its active set and not to meet the stop rule (a closed-form jump),
-    so only the last one is tested.
+    form (see ``_OssStep``); the refitting variant is the walk from its
+    first set that the multi-start restarts share (see ``_FossStep``).
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    max_iter = opts.resolved_max_iter()
     coef = SparseCoef.from_dense(init.beta, M)
     residual = _residual(problem, coef)
+    if opts.algorithm == "oss":
+        return _iterate(coef, residual, opts, _OssStep(problem, opts.rel_tol))
+    step = _FossStep(problem, M, opts)
+    return step.restart(coef, residual, step.first_set(coef, problem.X.T @ residual))
 
+
+def _iterate(coef, residual, opts, step) -> ScreeningResult:
+    """The loop of the plain variant of ``run``, over the step map ``step``.
+
+    ``step(coef, residual, budget)`` receives an iterate, its residual
+    y - X beta and the number of steps left.  It returns ``(coef,
+    residual, values)``: the iterate after ``len(values)`` steps (between
+    1 and ``budget``), its residual and the objective after each of those
+    steps.  Every value but the last belongs to a step already known to
+    keep its active set and not to meet the stop rule (a closed-form
+    jump), so only the last one is tested.
+    """
+    max_iter = opts.resolved_max_iter()
     trace = []
     best = None
     best_rss = math.inf
     prev = None
-    if coef.active.size <= M:
+    if coef.active.size <= coef.bound:
         r0 = float(residual @ residual)
         trace.append(r0)
         prev = r0
         best, best_rss = coef, r0
 
-    visited: set[tuple[int, ...]] = set()
-    source = None
     iterations = 0
     termination = TERM_MAX_ITER
     while iterations < max_iter:
-        coef, residual, values, source = step(coef, residual, source, max_iter - iterations)
+        coef, residual, values = step(coef, residual, max_iter - iterations)
         trace.extend(values)
         iterations += len(values)
         cur = values[-1]
@@ -338,17 +348,9 @@ def _iterate(problem, init, M, opts, step) -> ScreeningResult:
             prev = values[-2]
         if cur < best_rss:
             best, best_rss = coef, cur
-        if prev is not None:
-            denom = prev if prev > 0.0 else 1.0
-            if (prev - cur) < opts.rel_tol * denom:
-                termination = TERM_CONVERGED
-                break
-        if opts.algorithm == "foss":
-            key = tuple(coef.active.tolist())
-            if key in visited:
-                termination = TERM_CYCLE
-                break
-            visited.add(key)
+        if prev is not None and _stops(prev, cur, opts.rel_tol):
+            termination = TERM_CONVERGED
+            break
         prev = cur
 
     return ScreeningResult(
@@ -464,7 +466,7 @@ class _OssStep:
         self.key: tuple[int, ...] | None = None
         self.spectrum: _SetSpectrum | None = None
 
-    def __call__(self, coef, residual, source, budget):
+    def __call__(self, coef, residual, budget):
         problem = self.problem
         gradient = problem.X.T @ residual
         stepped = SparseCoef.from_dense(_thresholded(problem, coef, gradient), coef.bound)
@@ -477,7 +479,7 @@ class _OssStep:
             if jumped is not None:
                 return jumped
         r = _residual(problem, stepped)
-        return stepped, r, [float(r @ r)], None
+        return stepped, r, [float(r @ r)]
 
     def _spectrum(self, active: np.ndarray) -> _SetSpectrum:
         key = tuple(active.tolist())
@@ -548,45 +550,113 @@ class _OssStep:
         final = float(r @ r)
         d = np.concatenate(decreases)
         values = final + np.cumsum(d[:0:-1])[::-1]
-        return jumped, r, [*values.tolist(), final], None
+        return jumped, r, [*values.tolist(), final]
 
 
 class _FossStep:
-    """The refitting step of one problem, memoized by the set it refits.
+    """The refitting iteration on one problem, memoized by set.
 
-    The refit on a set S, its residual and objective, and the set the
-    next step from that refit thresholds to depend on S alone, so each
-    is computed once per S.  A step from a point that is not such a
-    refit (a restart's starting point, ``source`` None) computes its set
-    afresh, from ``start`` as its X'r when that is set and else from the
-    residual.  The memo pays off across the restarts of
-    ``multi_start_foss_fs``.  Within one ``run`` it can hit only on the
-    step that reaches a set for the second time, which ends the run as a
-    cycle, and then it returns the refit that step would compute.
+    After its first step, a refitting run's course depends only on the
+    set that step thresholds to: the refit on a set S, its residual and
+    objective, and the set the next step from that refit thresholds to
+    depend on S alone.  So each refit, each next set and each walk (the
+    run from the refit on a first set, with no point before it) is
+    computed once, and a run from a starting point is the walk from its
+    first set with the point put first (``restart``).  The memo pays off
+    across the restarts of ``multi_start_foss_fs``, whose neighbouring
+    prefixes mostly threshold to the same few first sets.
     """
 
-    def __init__(self, problem: StandardizedProblem):
+    def __init__(self, problem: StandardizedProblem, M: int, opts: IterationOptions):
         self.problem = problem
+        self.M = M
+        self.rel_tol = opts.rel_tol
+        self.max_iter = opts.resolved_max_iter()
         self.refits: dict[tuple[int, ...], tuple[SparseCoef, np.ndarray, float]] = {}
         self.next_set: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.start: np.ndarray | None = None
+        self.walks: dict[tuple[int, ...], ScreeningResult] = {}
 
-    def __call__(self, coef: SparseCoef, residual, source, budget):
-        target = self.next_set.get(source)
-        if target is None:
-            if source is None and self.start is not None:
-                gradient = self.start
-            else:
-                gradient = self.problem.X.T @ residual
-            target = tuple(np.flatnonzero(_thresholded(self.problem, coef, gradient)).tolist())
-            if source is not None:
-                self.next_set[source] = target
+    def first_set(self, coef: SparseCoef, gradient) -> tuple[int, ...]:
+        """The set one step from ``coef`` thresholds to, given its X'r."""
+        return tuple(np.flatnonzero(_thresholded(self.problem, coef, gradient)).tolist())
+
+    def restart(self, init: SparseCoef, residual, first) -> ScreeningResult:
+        """The run from ``init`` (residual ``residual``, bound M) whose
+        first step thresholds to ``first``.
+
+        That run is the walk from ``first`` (the same object for every
+        such ``init`` beyond the budget, whose residual is not read and
+        may be None), except where ``init`` is within the budget: then
+        its objective leads the trace, the first step meets the stop rule
+        against it (and the run ends there), and it stays the returned
+        iterate unless a step's objective is strictly smaller.
+        """
+        walk = self.walk(first)
+        if init.active.size > self.M:
+            return walk
+        r0 = float(residual @ residual)
+        v1 = walk.rss_trace[0]
+        if _stops(r0, v1, self.rel_tol):
+            best, value, trace = self._refit(first)[0], v1, walk.rss_trace[:1]
+            iterations, termination = 1, TERM_CONVERGED
+        else:
+            best, value, trace = walk.coef, walk.final_rss, walk.rss_trace
+            iterations, termination = walk.iterations, walk.termination
+        return ScreeningResult(
+            coef=best if value < r0 else init,
+            rss_trace=np.concatenate(([r0], trace)),
+            iterations=iterations,
+            termination=termination,
+        )
+
+    def walk(self, first: tuple[int, ...]) -> ScreeningResult:
+        """The run from the refit on ``first``, with no point before it."""
+        walk = self.walks.get(first)
+        if walk is None:
+            walk = self.walks[first] = self._walk(first)
+        return walk
+
+    def _walk(self, target) -> ScreeningResult:
+        values, visited = [], set()
+        best, best_rss = None, math.inf
+        termination = TERM_MAX_ITER
+        while True:
+            coef, residual, cur = self._refit(target)
+            prev = values[-1] if values else None
+            values.append(cur)
+            if cur < best_rss:
+                best, best_rss = coef, cur
+            if prev is not None and _stops(prev, cur, self.rel_tol):
+                termination = TERM_CONVERGED
+                break
+            key = tuple(coef.active.tolist())
+            if key in visited:
+                termination = TERM_CYCLE
+                break
+            visited.add(key)
+            if len(values) == self.max_iter:
+                break
+            following = self.next_set.get(target)
+            if following is None:
+                following = self.next_set[target] = self.first_set(
+                    coef, self.problem.X.T @ residual
+                )
+            target = following
+        return ScreeningResult(best, np.asarray(values), len(values), termination)
+
+    def _refit(self, target):
         hit = self.refits.get(target)
         if hit is None:
-            refit = refit_subset(self.problem, target, coef.bound)
+            refit = refit_subset(self.problem, target, self.M)
             r = _residual(self.problem, refit)
             hit = self.refits[target] = (refit, r, float(r @ r))
-        return hit[0], hit[1], [hit[2]], target
+        return hit
+
+
+def _stops(prev: float, cur: float, rel_tol: float) -> bool:
+    """The stop rule: the decrease from ``prev`` to ``cur`` is below
+    ``rel_tol`` relative to ``prev`` (to 1 when ``prev`` is 0)."""
+    return (prev - cur) < rel_tol * (prev if prev > 0.0 else 1.0)
 
 
 def multi_start_window(n: int, p: int, M: int) -> tuple[int, int]:
@@ -622,34 +692,57 @@ def multi_start_foss_fs(
     and the count must not depend on which of them wins by the last
     bits.  Deterministic given its inputs.
 
-    Neighbouring restarts tend to reach the same few active sets, so
-    within one call each set is refit once: the refit on a set, its
-    residual and objective, and the set the next step from it thresholds
-    to are memoized by that set (and freed on return).  A restart's first
-    gradient is the stepwise sweep's X'r of its prefix
-    (``fs_path.gains_at``), which equals X'(y - X beta) of the prefix fit
-    up to rounding; near-dependent prefixes, which the path refits by the
-    minimum-norm solver, form it afresh.  So the result is the one
-    separate ``run`` calls give, bit for bit, unless a restart's first
-    candidate sits at an exact tie for the last place, where its last
-    bits can decide the set.
+    After its first step a restart's course depends only on the set that
+    step thresholds to, so the restarts are not iterated one by one.
+    The first sets of all prefixes with sweep gains come from one
+    row-wise threshold of beta_k + gains_k / c, the gains being the
+    stepwise sweep's X'r of each prefix (``fs_path.gains``), which
+    equals X'(y - X beta) of the prefix fit up to rounding; near-dependent
+    prefixes, which the path refits by the minimum-norm solver, form
+    their gradient afresh.  Each distinct first set is walked once, and
+    each restart's result is built from its walk (see
+    ``_FossStep.restart``), with each set refit once per call.  So the
+    result is the one separate ``run`` calls give, bit for bit, unless a
+    restart's first candidate sits at an exact tie for the last place,
+    where its last bits can decide the set.
     """
     if opts is None:
         opts = IterationOptions(algorithm="foss")
     elif opts.algorithm != "foss":
         raise ValueError("multi-start restarts use the refitting algorithm")
     lo, hi = multi_start_window(problem.n, problem.p, M)
-    hi = min(hi, len(fs_path.steps))
+    hi = min(hi, fs_path.order.size)
     lo = min(lo, hi)
     if hi < 1:
         raise ValueError("stepwise path is empty")
-    step = _FossStep(problem)
+    step = _FossStep(problem, M, opts)
+    swept = min(hi, fs_path.gains.shape[0])  # prefixes lo..swept have sweep gains
     best = None
     best_key = None
     first_on_set: dict[tuple[int, ...], ScreeningResult] = {}
+    ranked: set[ScreeningResult] = set()
     for size in range(lo, hi + 1):
-        step.start = fs_path.gains_at(size)
-        result = _iterate(problem, fs_path.coef_at(size), M, opts, step)
+        if size <= swept:
+            # First sets come FIRST_SET_ROWS prefixes at a time, which
+            # bounds the dense rows held at once.
+            row = (size - lo) % FIRST_SET_ROWS
+            if row == 0:
+                top = min(size + FIRST_SET_ROWS - 1, swept)
+                betas = fs_path.dense_coefs(size, top)
+                firsts = _first_sets(problem, betas, fs_path.gains[size - 1 : top], M)
+                within = np.count_nonzero(betas, axis=1) <= M
+            if within[row]:
+                coef = SparseCoef.from_dense(betas[row], M)
+                result = step.restart(coef, _residual(problem, coef), firsts[row])
+            else:  # no residual: beyond the budget, the run is its first set's walk
+                result = step.walk(firsts[row])
+        else:
+            coef = SparseCoef.from_dense(fs_path.coef_at(size).beta, M)
+            residual = _residual(problem, coef)
+            result = step.restart(coef, residual, step.first_set(coef, problem.X.T @ residual))
+        if result in ranked:  # a walk shared with an earlier restart
+            continue
+        ranked.add(result)
         active = tuple(result.coef.active.tolist())
         first_on_set.setdefault(active, result)
         key = (result.final_rss, active)
@@ -662,6 +755,22 @@ def multi_start_foss_fs(
         iterations=counted.iterations,
         termination=counted.termination,
     )
+
+
+def _first_sets(problem: StandardizedProblem, betas, gains, M: int) -> list[tuple[int, ...]]:
+    """Per row, the set ``_thresholded`` keeps of beta + gains / c with
+    budget M: the sets the first steps from the rows of ``betas`` reach,
+    by ``hard_threshold``'s cut and tie rule, without its zeros."""
+    v = gains / problem.c
+    v += betas  # in place: the same sum as betas + gains / c
+    if problem.degenerate.any():
+        v[:, problem.degenerate] = 0.0
+    keep = v != 0.0
+    if M < problem.p:
+        keep &= _largest(np.abs(v, out=v), M)
+    columns = np.nonzero(keep)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    return [tuple(columns[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def exhaustive_best_subset(

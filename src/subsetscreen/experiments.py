@@ -19,6 +19,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (
     rss,
     run,
 )
-from .initializers import forward_stepwise, isis, sis
+from .initializers import FsPath, forward_stepwise, forward_stepwise_paths, isis, sis
 from .numerics import PreparedDesign, StandardizedProblem, bind, prepare_design
 from .simgen import (
     GenerativeModel,
@@ -61,6 +62,7 @@ __all__ = [
     "run_experiment",
     "write_repetition_records",
     "load_repetition_records",
+    "write_exclusions",
     "aggregate_records",
     "write_method_table",
 ]
@@ -71,6 +73,17 @@ REPETITION_FIELDS = (
     "rep", "method", "covered", "rss", "iterations", "selected_indices", "termination",
 )
 AGGREGATE_FIELDS = ("method", "cr", "ao", "mean_iterations", "repetitions", "exclusions")
+EXCLUSION_FIELDS = ("rep", "reason")
+
+# Repetitions on a fixed design are evaluated in blocks of this many,
+# whose stepwise sweeps run in lockstep (two GEMMs per step in place of
+# two GEMVs per repetition).  A block holds each repetition's q'X and X'r
+# rows (262 KB each at 96 x 528 with 62 steps), so the width trades time
+# for peak memory: on a 2-core machine a width of 4 added 1.6 MB to the
+# peak RSS of a 20-repetition simulate, and 8 added 4 MB.  With the BLAS
+# thread variables unset, OpenBLAS keeps a 528 x 96 GEMM on one thread up
+# to width 16 and wakes a second thread from width 20 on.
+SWEEP_BLOCK = 4
 
 
 def method_catalog() -> tuple[str, ...]:
@@ -180,32 +193,30 @@ def _repetition_methods(
     rel_tol: float | None = None,
     max_iter: int | None = None,
     isis_batch: int | None = None,
+    path: FsPath | None = None,
 ) -> dict[str, ScreeningResult]:
     """Run every configured method on one standardized problem.
 
     Initializers are computed once and shared between a basic method and
     its iterated counterparts, so the iterated runs start from exactly
-    the submodel estimates the basic method reports.
+    the submodel estimates the basic method reports.  ``path`` is the
+    problem's stepwise path when a block sweep already made it (see
+    ``_stepwise_size``); without it the path is swept here.
     """
     if rel_tol is None:
         rel_tol = DEFAULT_REL_TOL
     parsed = [(m, *_split_method(m)) for m in methods]
     bases = {base for _, _, base in parsed}
 
-    fs_size = 0
-    if "fs" in bases:
-        fs_size = M
-        if any(alg == "foss" and base == "fs" for _, alg, base in parsed):
-            fs_size = max(fs_size, multi_start_window(problem.n, problem.p, M)[1])
     inits: dict[str, SparseCoef] = {}
     if "sis" in bases:
         inits["sis"] = sis(problem, M)
     if "isis" in bases:
         inits["isis"] = isis(problem, M, batch=isis_batch)
-    path = None
-    if fs_size:
-        path = forward_stepwise(problem, min(fs_size, min(problem.n - 1, problem.p)))
-        inits["fs"] = path.coef_at(min(M, len(path.steps)))
+    if fs_size := _stepwise_size(methods, M, problem.n, problem.p):
+        if path is None:
+            path = forward_stepwise(problem, fs_size)
+        inits["fs"] = path.coef_at(min(M, path.order.size))
 
     outcomes: dict[str, ScreeningResult] = {}
     for method, alg, base in parsed:
@@ -221,6 +232,18 @@ def _repetition_methods(
                 problem, inits[base], M, IterationOptions(alg, rel_tol, max_iter)
             )
     return outcomes
+
+
+def _stepwise_size(methods, M: int, n: int, p: int) -> int:
+    """The length of stepwise path the methods need (0 for none): M, or
+    the top of the restart window for ``foss-fs``, within min(n - 1, p)."""
+    parsed = [_split_method(m) for m in methods]
+    if all(base != "fs" for _, base in parsed):
+        return 0
+    size = M
+    if ("foss", "fs") in parsed:
+        size = max(size, multi_start_window(n, p, M)[1])
+    return min(size, n - 1, p)
 
 
 def run_method(
@@ -279,11 +302,19 @@ def evaluate_repetition(
     prepared once and reused by every later repetition on it until the
     next :func:`run_experiment` call starts.
     """
+    return _config_methods(config, _problem(config, rep_index))
+
+
+def _problem(config: ExperimentConfig, rep_index: int) -> StandardizedProblem:
+    """One repetition's standardized problem."""
     X, design = _design(config, rep_index)
     y = gen_response(
         X, config.model.true_model(), child_stream(config.seed, rep_index, "response")
     )
-    problem = bind(design, y)
+    return bind(design, y)
+
+
+def _config_methods(config: ExperimentConfig, problem, path=None):
     return _repetition_methods(
         problem,
         config.methods,
@@ -291,25 +322,75 @@ def evaluate_repetition(
         rel_tol=config.rel_tol,
         max_iter=config.max_iter,
         isis_batch=config.isis_batch,
+        path=path,
     )
 
 
-def _evaluate_safely(config: ExperimentConfig, rep_index: int):
+def _attempt(fn, *args):
+    """``(fn(*args), None)``, or ``(None, reason)`` when it fails the way a
+    repetition is excluded for."""
     try:
-        return rep_index, evaluate_repetition(config, rep_index), None
+        return fn(*args), None
     except (ValueError, np.linalg.LinAlgError) as exc:
-        return rep_index, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _blocks(config: ExperimentConfig) -> list[range]:
+    """The repetitions, in blocks that are evaluated together.
+
+    Repetitions on a fixed (Kronecker) design go in blocks of
+    ``SWEEP_BLOCK`` by index, so a block, and with it every GEMM column
+    of its sweep, is the same for any worker count; equicorrelated
+    repetitions, each on its own design, are blocks of one.
+    """
+    width = SWEEP_BLOCK if config.design.kind == "kronecker" else 1
+    reps = config.repetitions
+    return [range(start, min(start + width, reps)) for start in range(0, reps, width)]
+
+
+def _evaluate_block(config: ExperimentConfig, reps: range):
+    """``(rep, outcomes, error)`` for each repetition of one block.
+
+    A block of one is :func:`evaluate_repetition`.  A larger block takes
+    the stepwise paths of all its repetitions from one sweep
+    (``forward_stepwise_paths``), then runs the methods repetition by
+    repetition.  A repetition whose data or methods fail is excluded
+    alone; if the block's sweep itself fails, each repetition sweeps on
+    its own.
+    """
+    if len(reps) == 1:
+        return [(reps[0], *_attempt(evaluate_repetition, config, reps[0]))]
+    made = {rep: _attempt(_problem, config, rep) for rep in reps}
+    problems = {rep: problem for rep, (problem, error) in made.items() if error is None}
+    paths = {}
+    size = _stepwise_size(config.methods, config.M, config.model.n, config.model.p)
+    if size and problems:
+        swept, error = _attempt(forward_stepwise_paths, list(problems.values()), size)
+        if error is None:
+            paths = dict(zip(problems, swept))
+    evaluated = []
+    for rep in reps:
+        problem, error = made[rep]
+        outcomes = None
+        if error is None:
+            outcomes, error = _attempt(_config_methods, config, problem, paths.get(rep))
+        evaluated.append((rep, outcomes, error))
+    return evaluated
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all repetitions, aggregate, and keep per-repetition records.
 
-    Repetitions are independent jobs keyed by their index; with
-    ``workers > 1`` they run in a pool of at most one process per
-    repetition.  Output is identical for any worker count because every
-    repetition derives its own streams and the aggregation folds records
-    in repetition order.  A fixed (Kronecker) design is built and
-    prepared once per call, or once per worker process.
+    Repetitions are independent jobs keyed by their index, evaluated in
+    fixed blocks (see ``_blocks``): on a fixed (Kronecker) design, the
+    repetitions of a block share one lockstep stepwise sweep.  With
+    ``workers > 1`` the blocks run in a pool of at most one process per
+    block.  Output is identical for any worker count because every
+    repetition derives its own streams, block membership depends on the
+    repetition index alone, and the aggregation folds records in
+    repetition order.  A fixed design is built and prepared once per
+    call, or once per worker process.  A repetition that fails is
+    excluded on its own and listed in ``exclusions`` with the reason.
 
     Raises ValueError when ``workers`` is below 1, and when every
     repetition is excluded (naming the first exclusion).
@@ -317,15 +398,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     _fixed_design.cache_clear()
-    reps = range(config.repetitions)
-    task = partial(_evaluate_safely, config)
+    blocks = _blocks(config)
+    task = partial(_evaluate_block, config)
     # The pool starts all its processes at the first submit.
-    workers = min(workers, config.repetitions)
+    workers = min(workers, len(blocks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(task, reps))
+            evaluated = list(chain.from_iterable(pool.map(task, blocks)))
     else:
-        evaluated = [task(r) for r in reps]
+        evaluated = [item for block in blocks for item in task(block)]
 
     support = set(config.true_support)
     records: list[RepetitionRecord] = []
@@ -433,6 +514,15 @@ def load_repetition_records(path) -> tuple[RepetitionRecord, ...]:
                 )
             )
     return tuple(records)
+
+
+def write_exclusions(path, exclusions) -> None:
+    """Persist the excluded repetitions as CSV (``rep``, ``reason``), in
+    repetition order; a run with none writes the header alone."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EXCLUSION_FIELDS)
+        writer.writerows(exclusions)
 
 
 def write_method_table(path, table: MethodTable) -> None:

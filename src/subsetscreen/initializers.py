@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import SparseCoef, refit_subset
 from .numerics import FACTOR_SOLVE_RTOL, StandardizedProblem, min_norm_least_squares
 
-__all__ = ["FsStep", "FsPath", "sis", "isis", "forward_stepwise"]
+__all__ = ["FsStep", "FsPath", "sis", "isis", "forward_stepwise", "forward_stepwise_paths"]
 
 # A residualized column whose remaining squared norm falls below this
 # fraction of its original one is numerically inside the selected span.
@@ -53,8 +54,11 @@ class FsStep:
 
 @dataclass(frozen=True, eq=False)
 class FsPath:
-    """Nested forward-stepwise submodels of sizes 1..len(steps).
+    """Nested forward-stepwise submodels of sizes 1..len(order).
 
+    ``order`` lists the columns in the order the sweep added them, and
+    row ``size - 1`` of ``coefs`` holds the least-squares coefficients
+    of the size-``size`` prefix on ``order[:size]`` (0 after them).
     ``truncated`` is set when the rank budget ran out before reaching
     ``max_size``; ``p`` is the number of columns of the problem.
     ``gains[size - 1]`` is X'r for the sweep's residual r after ``size``
@@ -62,27 +66,43 @@ class FsPath:
     own factor (not for the near-dependent ones after them).
     """
 
-    steps: tuple[FsStep, ...]
+    order: np.ndarray
+    coefs: np.ndarray
     max_size: int
     truncated: bool
     p: int
     gains: np.ndarray
 
+    @cached_property
+    def steps(self) -> tuple[FsStep, ...]:
+        """The prefixes as ``FsStep`` records, built on first use."""
+        steps = []
+        for size in range(1, self.order.size + 1):
+            by_index = np.argsort(self.order[:size])
+            steps.append(
+                FsStep(
+                    added=int(self.order[size - 1]),
+                    active=tuple(self.order[:size][by_index].tolist()),
+                    coef=self.coefs[size - 1, :size][by_index],
+                )
+            )
+        return tuple(steps)
+
     def coef_at(self, size: int) -> SparseCoef:
         """Least-squares estimator of the size-``size`` prefix."""
-        step = self.steps[size - 1]
-        return _prefix_coef(self.p, step.active, step.coef, size)
+        return SparseCoef.from_dense(self.dense_coefs(size, size)[0], size)
+
+    def dense_coefs(self, lo: int, hi: int) -> np.ndarray:
+        """The coefficient vectors of the prefixes of sizes lo..hi, one
+        row of length p each."""
+        beta = np.zeros((hi - lo + 1, self.p))
+        beta[:, self.order] = self.coefs[lo - 1 : hi]
+        return beta
 
     def gains_at(self, size: int) -> np.ndarray | None:
         """X'(y - X beta) of the size-``size`` prefix from the sweep, or
         None where the prefix is near-dependent."""
         return self.gains[size - 1] if size <= self.gains.shape[0] else None
-
-
-def _prefix_coef(p: int, active, values, size: int) -> SparseCoef:
-    beta = np.zeros(p)
-    beta[list(active)] = values
-    return SparseCoef.from_dense(beta, size)
 
 
 def sis(problem: StandardizedProblem, M: int) -> SparseCoef:
@@ -144,109 +164,166 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
     order: each new basis vector is the chosen column minus its
     projection on the basis so far, projected once more to keep the
     basis orthogonal (classical Gram-Schmidt twice).  The path keeps
-    T = R^-1 one column per step (its leading block inverts R's), so each
-    prefix's coefficients are the last prefix's plus T's new column times
-    the new entry of Q'y: O(k^2) for the size-k prefix on top of the
-    O(n p) of the step, instead of a fresh O(n k^2) least-squares solve.
-    From the first step whose diagonal entry of R falls to
-    ``FACTOR_SOLVE_RTOL`` times the largest one or below, that prefix and
-    every later one are refit by ``min_norm_least_squares`` instead, so
-    near-dependent prefixes keep minimum-norm semantics.
+    T = R^-1 one column per step (its leading block inverts R's), so the
+    size-k prefix's coefficients are the sum of T's first k columns,
+    each times its entry of Q'y: one cumulative sum gives every prefix,
+    O(k^2) for the size-k prefix on top of the O(n p) of the step,
+    instead of a fresh O(n k^2) least-squares solve.  From the first
+    step whose diagonal entry of R falls to ``FACTOR_SOLVE_RTOL`` times
+    the largest one or below, that prefix and every later one are refit
+    by ``min_norm_least_squares`` instead, so near-dependent prefixes
+    keep minimum-norm semantics.
 
     The path also keeps the sweep's scores X'r after each step up to the
     first near-dependent one (``FsPath.gains``): in exact arithmetic the
     sweep's residual is that of the prefix's least-squares fit, so they
     are the gradients the refitting restarts of ``multi_start_foss_fs``
     start from.
+
+    This is ``forward_stepwise_paths`` on a block of one problem.
     """
-    n, p = problem.n, problem.p
+    return forward_stepwise_paths([problem], max_size)[0]
+
+
+def forward_stepwise_paths(problems, max_size: int) -> tuple[FsPath, ...]:
+    """``forward_stepwise`` for several responses on one design.
+
+    ``problems`` must share one design matrix (``bind`` on one
+    ``PreparedDesign``).  Their sweeps run in lockstep, one step of every
+    sweep at a time: the scores of all of them are one product X'R and
+    their new rows q'X one more, two GEMMs per step in place of two
+    GEMVs per problem.  A GEMM forms each column with other rounding
+    than a GEMV, so a path can differ from the problem's own
+    ``forward_stepwise`` in its last bits (and pick another column at a
+    near-tie); within a block, a column's bits do not depend on the
+    block's width (checked with OpenBLAS for widths 2 to 16).  A block of
+    one is ``forward_stepwise`` itself, bit for bit.
+
+    Raises ValueError when the problems do not share one design or
+    ``max_size`` is outside [1, min(n - 1, p)].
+    """
+    X = problems[0].X
+    if any(problem.X is not X for problem in problems):
+        raise ValueError("the problems of one stepwise block must share one design")
+    n, p = X.shape
     if not 1 <= max_size <= min(n - 1, p):
         raise ValueError("max_size must be in [1, min(n - 1, p)]")
-
-    order, _, R, qty, truncated, gains = _greedy_factor(problem, max_size)
-    T, x = np.zeros_like(R), np.zeros_like(qty)  # R^-1; R x = Q'y in selection order
-    steps: list[FsStep] = []
-    usable = 0  # prefixes solved by the running inverse
-    for k in range(len(order)):
-        by_index = np.argsort(order[: k + 1])
-        active = np.asarray(order[: k + 1])[by_index]
-        # Every column has norm sqrt(n) and residualizing only shrinks it,
-        # so the first diagonal entry is the largest.
-        if usable == k and R[k, k] > FACTOR_SOLVE_RTOL * R[0, 0]:
-            usable += 1
-            T[k, k] = 1.0 / R[k, k]
-            T[:k, k] = -(T[:k, :k] @ R[:k, k]) / R[k, k]
-            x[: k + 1] += T[: k + 1, k] * qty[k]
-            values = x[: k + 1][by_index]
-        else:
-            values = min_norm_least_squares(problem.X[:, active], problem.y)
-        steps.append(
-            FsStep(added=order[k], active=tuple(active.tolist()), coef=values)
-        )
-
-    return FsPath(
-        steps=tuple(steps), max_size=max_size, truncated=truncated, p=p, gains=gains[:usable]
+    Y = np.column_stack([problem.y for problem in problems])
+    factors = _greedy_factor(X, Y, max_size)
+    return tuple(
+        _path(problem, max_size, order, R, qty, truncated, gains)
+        for problem, (order, _, R, qty, truncated, gains) in zip(problems, factors)
     )
 
 
-def _greedy_factor(problem: StandardizedProblem, max_size: int):
-    """The greedy column order and the QR factor of the chosen columns.
+def _path(problem: StandardizedProblem, max_size, order, R, qty, truncated, gains) -> FsPath:
+    """The prefixes of one sweep's factor X[:, order] = Q R, qty = Q'y."""
+    size = order.size
+    # Every column has norm sqrt(n) and residualizing only shrinks it,
+    # so the first diagonal entry is the largest.
+    solvable = np.diagonal(R) > FACTOR_SOLVE_RTOL * (R[0, 0] if size else 0.0)
+    usable = int(np.logical_and.accumulate(solvable).sum())  # prefixes the inverse solves
+    T = np.zeros_like(R)  # R^-1 on the usable block
+    for k in range(usable):
+        T[k, k] = 1.0 / R[k, k]
+        T[:k, k] = -(T[:k, :k] @ R[:k, k]) / R[k, k]
+    coefs = np.zeros((size, size))
+    # Column k of the sum is the size-(k + 1) prefix, in selection order,
+    # added up in the order of the steps; + 0.0 clears the sign of an
+    # all-zero sum, which a running sum from +0.0 never has.
+    coefs[:usable, :usable] = (np.cumsum(T[:usable, :usable] * qty[:usable], axis=1) + 0.0).T
+    for k in range(usable, size):
+        by_index = np.argsort(order[: k + 1])
+        active = order[: k + 1][by_index]
+        coefs[k, by_index] = min_norm_least_squares(problem.X[:, active], problem.y)
+    return FsPath(
+        order=order, coefs=coefs, max_size=max_size, truncated=truncated, p=problem.p,
+        gains=gains[:usable],
+    )
 
-    Returns ``(order, Q, R, qty, truncated, gains)`` with X[:, order] =
-    Q R, Q orthonormal (n x k), R upper-triangular (k x k), qty = Q'y and
-    ``gains[i]`` = X'r for the residual r after step i + 1, where k =
-    len(order) is ``max_size`` unless the path truncated.
+
+def _greedy_factor(X: np.ndarray, Y: np.ndarray, max_size: int):
+    """The greedy column order and the QR factor of the chosen columns,
+    for each column y of the n x b response block ``Y`` on the design X.
+
+    Returns, per column of Y, ``(order, Q, R, qty, truncated, gains)``
+    with X[:, order] = Q R, Q orthonormal (n x k), R upper-triangular
+    (k x k), qty = Q'y and ``gains[i]`` = X'r for the residual r after
+    step i + 1, where k = len(order) is ``max_size`` unless that sweep
+    truncated.  The b sweeps take their steps together; a sweep that
+    truncates leaves the block.
     """
-    X = problem.X
     n, p = X.shape
-    norms2 = np.einsum("ij,ij->j", X, X)
     thresh = SPAN_RTOL2 * n
+    live = list(range(Y.shape[1]))  # the response each row below belongs to
+    b = len(live)
+    norms2 = np.tile(np.einsum("ij,ij->j", X, X), (b, 1))
     # Unselected columns still outside the selected span.  A column that
     # falls inside it stays inside as the span grows.
     candidate = norms2 > thresh
-    residual = problem.y.copy()
-    order: list[int] = []
-    Q = np.empty((n, max_size))
+    residual = Y.T.copy()
+    order = np.empty((b, max_size), dtype=int)
+    Q = np.empty((b, n, max_size))
     # Row i holds q_i' X, the first-pass projection coefficients.
-    W = np.empty((max_size, p))
-    R = np.zeros((max_size, max_size))
-    qty = np.empty(max_size)
+    W = np.empty((b, max_size, p))
+    R = np.zeros((b, max_size, max_size))
+    qty = np.empty((b, max_size))
     # Row i holds X'r after step i + 1: the scores of step i + 2, and for
     # the last step one product more.
-    after = np.empty((max_size, p))
+    after = np.empty((b, max_size, p))
+    factors = [None] * b
 
+    def finish(rows, k, truncated):
+        for i in rows:
+            factors[live[i]] = (
+                order[i, :k], Q[i, :, :k], R[i, :k, :k], qty[i, :k], truncated, after[i, :k]
+            )
+
+    rows = np.arange(b)
     for k in range(max_size):
-        gains = X.T @ residual
+        gains = residual @ X
         if k:
-            after[k - 1] = gains
-        if not candidate.any():
-            return order, Q[:, :k], R[:k, :k], qty[:k], True, after[:k]
-        denom = np.where(candidate, norms2, 1.0)
-        scores = np.where(candidate, gains * gains / denom, -np.inf)
-        j = int(np.argmax(scores >= scores.max() * (1.0 - TIE_RTOL)))
+            after[:, k - 1] = gains
+        kept = candidate.any(axis=1)
+        if not kept.all():
+            finish(np.flatnonzero(~kept), k, True)
+            if not kept.any():
+                return factors
+            live = [i for i, keep in zip(live, kept) if keep]
+            rows = np.arange(len(live))
+            residual, norms2, candidate, order, Q, W, R, qty, after, gains = (
+                a[kept] for a in (residual, norms2, candidate, order, Q, W, R, qty, after, gains)
+            )
+        scores = np.full_like(gains, -np.inf)
+        np.divide(gains * gains, norms2, out=scores, where=candidate)
+        top = scores.max(axis=1, keepdims=True)
+        j = np.argmax(scores >= top * (1.0 - TIE_RTOL), axis=1)
 
-        basis = Q[:, :k]
-        z = X[:, j] - basis @ W[:k, j]
-        again = basis.T @ z
-        z -= basis @ again
-        r_kk = np.linalg.norm(z)
-        q = z / r_kk
+        basis = Q[:, :, :k]
+        w_j = W[rows, :k, j]
+        z = X.T[j] - np.matmul(basis, w_j[:, :, None])[:, :, 0]
+        again = np.matmul(basis.transpose(0, 2, 1), z[:, :, None])
+        z -= np.matmul(basis, again)[:, :, 0]
+        r_kk = np.sqrt(np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0])
+        q = z / r_kk[:, None]
         w = q @ X
-        Q[:, k] = q
-        W[k] = w
-        R[:k, k] = W[:k, j] + again
-        R[k, k] = r_kk
-        qty[k] = q @ residual
-        residual -= q * qty[k]
-        order.append(j)
+        Q[:, :, k] = q
+        W[:, k] = w
+        R[:, :k, k] = w_j + again[:, :, 0]
+        R[:, k, k] = r_kk
+        qty[:, k] = np.matmul(q[:, None, :], residual[:, :, None])[:, 0, 0]
+        residual -= q * qty[:, k, None]
+        order[:, k] = j
 
         norms2 = np.maximum(norms2 - w * w, 0.0)
-        candidate[j] = False
+        candidate[rows, j] = False
         stale = candidate & (norms2 < NORM_RECOMPUTE_RTOL2 * n)
-        if stale.any():
-            E = X[:, stale] - Q[:, : k + 1] @ W[: k + 1, stale]
-            norms2[stale] = np.einsum("ij,ij->j", E, E)
-            candidate[stale] = norms2[stale] > thresh
+        for i in np.flatnonzero(stale.any(axis=1)) if stale.any() else ():
+            cols = stale[i]
+            E = X[:, cols] - Q[i, :, : k + 1] @ W[i, : k + 1][:, cols]
+            norms2[i, cols] = np.einsum("ij,ij->j", E, E)
+            candidate[i, cols] = norms2[i, cols] > thresh
 
-    after[-1] = X.T @ residual
-    return order, Q, R, qty, False, after
+    after[:, -1] = residual @ X
+    finish(range(len(live)), max_size, False)
+    return factors

@@ -173,6 +173,16 @@ class TestScreen:
         assert main(["screen", x_path, y_path, "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_subset_size_below_1_exits_3_naming_the_flag(self, tmp_path, capsys, size):
+        rng = np.random.default_rng(75)
+        X = rng.standard_normal((10, 3))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        out = tmp_path / "result.json"
+        assert main(["screen", x_path, y_path, "-M", size, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: -M {size} selects nothing: it must be at least 1\n"
+        assert not out.exists()
+
     def test_malformed_cell_exits_2_naming_file_and_line(self, tmp_path, capsys):
         x_path = tmp_path / "x.csv"
         x_path.write_text("1.0,2.0\n3.0,oops\n5.0,6.0\n")
@@ -365,6 +375,29 @@ class TestSimulate:
         assert len(lines) == 3  # header + 2 methods
         assert (out / "repetitions.csv").exists()
         assert (out / "manifest.json").exists()
+
+    def test_excluded_repetitions_are_written_with_their_reasons(self, tmp_path, monkeypatch):
+        from subsetscreen import experiments
+
+        config = self.base_config(tmp_path, repetitions=3)
+        out = tmp_path / "clean"
+        assert main(["simulate", config, "--out", str(out)]) == 0
+        assert (out / "exclusions.csv").read_text().splitlines() == ["rep,reason"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"]["exclusions"] == str(out / "exclusions.csv")
+
+        real = experiments.evaluate_repetition
+
+        def flaky(cfg, rep):
+            if rep == 1:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real(cfg, rep)
+
+        monkeypatch.setattr(experiments, "evaluate_repetition", flaky)
+        out = tmp_path / "flaky"
+        assert main(["simulate", config, "--out", str(out)]) == 0
+        lines = (out / "exclusions.csv").read_text().splitlines()
+        assert lines == ["rep,reason", "1,LinAlgError: synthetic failure"]
 
     def test_manifest_replay_is_byte_identical(self, tmp_path):
         config = self.base_config(tmp_path, repetitions=4)

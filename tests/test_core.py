@@ -466,18 +466,129 @@ class TestMultiStartMatchesPlainRestarts:
         prob, M = _kronecker_problem(seed)
         path = forward_stepwise(prob, multi_start_window(prob.n, prob.p, M)[1])
         base = multi_start_foss_fs(prob, M, path)
+        # Row size - 1 of path.coefs holds the size-prefix's coefficients
+        # in its first size places.
+        within = np.tri(path.order.size, dtype=bool)
         for ulps in (1, 2, 3):
             nudged = replace(
-                path,
-                steps=tuple(
-                    replace(step, coef=step.coef + ulps * np.spacing(step.coef))
-                    for step in path.steps
-                ),
+                path, coefs=np.where(within, path.coefs + ulps * np.spacing(path.coefs), 0.0)
             )
             res = multi_start_foss_fs(prob, M, nudged)
             np.testing.assert_array_equal(res.coef.active, base.coef.active)
             assert res.iterations == base.iterations
             assert res.termination == base.termination
+
+
+def _near_dependent_problem(seed):
+    # Column 19 is column 0 plus a 1e-7 perturbation that carries signal:
+    # from the step that adds the second of them, the stepwise prefixes
+    # are refit by the minimum-norm solver and have no sweep gains.  M is
+    # set so that the restart window [M - 2, M + 2] spans both kinds.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((40, 19))
+    e = rng.standard_normal(40)
+    X = np.hstack([base, base[:, [0]] + 1e-7 * e[:, None]])
+    prob = standardize(X, base[:, :4] @ np.array([2.0, -1.5, 1.0, 0.5]) + 3.0 * e)
+    return prob, forward_stepwise(prob, 12).gains.shape[0] + 1
+
+
+def _degenerate_problem(seed):
+    # Two constant columns, which standardizing flags and zeroes.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, 30))
+    X[:, [3, 17]] = 2.5
+    y = X[:, :5] @ np.array([2.0, -2.0, 1.5, 0.0, 1.0]) + rng.standard_normal(40)
+    return standardize(X, y), 5
+
+
+WALK_CASES = {
+    **MULTI_START_CASES,
+    "near-dependent": lambda: _near_dependent_problem(31),
+    "degenerate": lambda: _degenerate_problem(32),
+}
+
+# A cap of one and two steps, a tolerance at which the first step from
+# a prefix within the budget often meets the stop rule against the
+# prefix, and one at which runs end on a repeated set.
+WALK_OPTIONS = {
+    "default": IterationOptions("foss"),
+    "max_iter-1": IterationOptions("foss", max_iter=1),
+    "max_iter-2": IterationOptions("foss", max_iter=2),
+    "rel_tol-0.5": IterationOptions("foss", rel_tol=0.5),
+    "cycle": IterationOptions("foss", rel_tol=0.0),
+}
+
+
+def _walk_case(case):
+    prob, M = WALK_CASES[case]()
+    path = forward_stepwise(prob, multi_start_window(prob.n, prob.p, M)[1])
+    return prob, M, path
+
+
+class TestMultiStartWalksMatchPlainRestarts:
+    """``multi_start_foss_fs`` walks each first set once and builds every
+    restart from its walk; the restarts run one by one through
+    ``reference_run`` give the same result bit for bit."""
+
+    @pytest.mark.parametrize("option", sorted(WALK_OPTIONS))
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_bitwise_equal(self, case, option):
+        prob, M, path = _walk_case(case)
+        opts = WALK_OPTIONS[option]
+        res = multi_start_foss_fs(prob, M, path, opts)
+        ref = plain_multi_start(prob, M, path, opts)
+        assert res.coef.beta.tobytes() == ref.coef.beta.tobytes()
+        assert res.rss_trace.tobytes() == ref.rss_trace.tobytes()
+        assert (res.iterations, res.termination) == (ref.iterations, ref.termination)
+
+    def test_a_prefix_tied_with_its_first_step_is_the_one_returned(self):
+        # Exact ties go to the earliest iterate.  On an orthogonal design
+        # the size-M prefix's set is a fixed point of the refitting step;
+        # given its set's refit as coefficients plus a -0.0 outside the
+        # set, the prefix ties its first step's refit in RSS but not in
+        # bytes.
+        prob = standardize(orthogonal_design(40), np.random.default_rng(41).standard_normal(24))
+        M = 3
+        assert multi_start_window(prob.n, prob.p, M) == (M, M)
+        path = forward_stepwise(prob, M + 1)
+        refit = refit_subset(prob, path.steps[M - 1].active, M)
+        coefs = path.coefs.copy()
+        coefs[M - 1, :M] = refit.beta[path.order[:M]]
+        coefs[M - 1, M] = -0.0
+        tied = replace(path, coefs=coefs)
+        res = multi_start_foss_fs(prob, M, tied)
+        ref = plain_multi_start(prob, M, tied)
+        assert res.rss_trace.tobytes() == ref.rss_trace.tobytes()
+        assert res.rss_trace[0] == res.rss_trace[1]
+        assert res.coef.beta.tobytes() == ref.coef.beta.tobytes()
+        assert res.coef.beta.tobytes() == tied.coef_at(M).beta.tobytes()
+        assert res.coef.beta.tobytes() != refit.beta.tobytes()
+
+    def test_the_cases_reach_every_rule(self):
+        # Each rule the walks compose is met by some restart of the cases.
+        met = set()
+        for case in WALK_CASES:
+            prob, M, path = _walk_case(case)
+            lo, hi = multi_start_window(prob.n, prob.p, M)
+            for size in range(lo, min(hi, len(path.steps)) + 1):
+                init = path.coef_at(size)
+                if path.gains_at(size) is None:
+                    met.add("no sweep gains")
+                for name, opts in WALK_OPTIONS.items():
+                    got = reference_run(prob, init, M, opts)
+                    if init.active.size <= M and got.termination == TERM_CONVERGED:
+                        if got.iterations == 1:
+                            met.add(f"first step stops against the prefix at {name}")
+                    if got.termination == TERM_CYCLE:
+                        met.add("cycle")
+                    if got.termination == TERM_MAX_ITER and got.iterations == opts.max_iter:
+                        met.add(name)
+            if prob.degenerate.any():
+                met.add("degenerate columns")
+        assert {
+            "no sweep gains", "degenerate columns", "cycle", "max_iter-1", "max_iter-2",
+            "first step stops against the prefix at rel_tol-0.5",
+        } <= met
 
 
 # Option sets that end the refitting runs of the cases below on each of

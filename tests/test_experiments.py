@@ -408,12 +408,75 @@ class TestFixedDesignCache:
         assert after.records != before.records
 
     def test_repetitions_csv_same_for_any_worker_count(self, tmp_path):
+        # Repetitions run in blocks of SWEEP_BLOCK; 9 leave a short last block.
         path = tmp_path / "base.csv"
         write_base(path, 6)
-        config = kronecker_config(path, repetitions=8, methods=EVERY_ITERATION)
-        written = []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"repetitions-{workers}.csv"
-            write_repetition_records(out, run_experiment(config, workers=workers).records)
-            written.append(out.read_bytes())
-        assert written[0] == written[1] == written[2]
+        for repetitions in (8, 9, 20):
+            config = kronecker_config(path, repetitions=repetitions, methods=EVERY_ITERATION)
+            written = []
+            for workers in (1, 2, 3):
+                out = tmp_path / f"repetitions-{workers}.csv"
+                write_repetition_records(out, run_experiment(config, workers=workers).records)
+                written.append(out.read_bytes())
+            assert written[0] == written[1] == written[2]
+
+
+class TestRepetitionBlocks:
+    """Kronecker repetitions run in blocks of ``SWEEP_BLOCK`` that share
+    one stepwise sweep; equicorrelated ones in blocks of one."""
+
+    def test_blocks_are_fixed_by_repetition_index(self, tmp_path):
+        path = tmp_path / "base.csv"
+        write_base(path, 8)
+        width = experiments.SWEEP_BLOCK
+        assert 1 < width <= 16
+        blocks = experiments._blocks(kronecker_config(path, repetitions=2 * width + 1))
+        assert [list(b) for b in blocks] == [
+            list(range(width)), list(range(width, 2 * width)), [2 * width]
+        ]
+        assert [list(b) for b in experiments._blocks(small_config(repetitions=3))] == [[0], [1], [2]]
+
+    def test_a_failing_repetition_excludes_only_itself(self, tmp_path, monkeypatch):
+        path = tmp_path / "base.csv"
+        write_base(path, 10)
+        config = kronecker_config(path, repetitions=9, methods=EVERY_ITERATION)
+        clean = run_experiment(config)
+        real = experiments._problem
+
+        def flaky(cfg, rep):
+            if rep == 2:
+                raise ValueError("synthetic failure")
+            return real(cfg, rep)
+
+        monkeypatch.setattr(experiments, "_problem", flaky)
+        result = run_experiment(config)
+        assert result.exclusions == ((2, "ValueError: synthetic failure"),)
+        assert result.records == tuple(r for r in clean.records if r.rep != 2)
+        assert result.table.row("fs").exclusions == 1
+
+    def test_a_failing_block_sweep_falls_back_to_one_sweep_per_repetition(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "base.csv"
+        write_base(path, 11)
+        config = kronecker_config(path, repetitions=6, methods=EVERY_ITERATION)
+        real = experiments.forward_stepwise_paths
+        widths = []
+
+        def broken(problems, max_size):
+            widths.append(len(problems))
+            if len(problems) > 1:
+                raise np.linalg.LinAlgError("synthetic sweep failure")
+            return real(problems, max_size)
+
+        monkeypatch.setattr(experiments, "forward_stepwise_paths", broken)
+        result = run_experiment(config)
+        assert result.exclusions == ()
+        assert max(widths) > 1
+        for record in result.records:
+            outcome = evaluate_repetition(config, record.rep)[record.method]
+            assert record.selected == tuple(outcome.coef.active.tolist())
+            assert record.rss == outcome.final_rss
+            assert (record.iterations, record.termination) == (
+                outcome.iterations, outcome.termination
+            )

@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from subsetscreen import (
     IterationOptions,
-    core,
     exhaustive_best_subset,
+    bind,
     forward_stepwise,
+    forward_stepwise_paths,
     initializers,
     isis,
     multi_start_foss_fs,
+    prepare_design,
     refit_subset,
     rss,
     run,
@@ -202,7 +206,7 @@ class TestForwardStepwise:
         eps = np.finfo(float).eps
         for name, (prob, size) in STEPWISE_FACTOR_CASES.items():
             path = forward_stepwise(prob, size)
-            order, _, R, qty, _, _ = initializers._greedy_factor(prob, size)
+            order, _, R, qty, _, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
             diag = np.diag(R)
             usable = np.logical_and.accumulate(diag > initializers.FACTOR_SOLVE_RTOL * diag[0]).sum()
             assert usable >= 4, name
@@ -282,7 +286,7 @@ class TestSweepGradients:
         prob, size = STEPWISE_FACTOR_CASES[name]
         eps = np.finfo(float).eps
         path = forward_stepwise(prob, size)
-        _, _, R, _, _, _ = initializers._greedy_factor(prob, size)
+        _, _, R, _, _, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
         assert path.gains.shape == (path.gains.shape[0], prob.p)
         for k in range(1, path.gains.shape[0] + 1):
             coef = path.coef_at(k)
@@ -291,7 +295,7 @@ class TestSweepGradients:
             bound = 8 * k * eps * np.linalg.cond(R[:k, :k]) * np.sqrt(prob.n) * a
             assert np.abs(path.gains_at(k) - fresh).max() <= bound, (name, k)
 
-    def test_near_dependent_prefixes_keep_the_fresh_gradient(self, monkeypatch):
+    def test_near_dependent_prefixes_keep_the_fresh_gradient(self):
         # Column 5 is column 0 plus a 1e-7 perturbation: from the step that
         # adds the second of them, prefixes are refit by the minimum-norm
         # solver, and restarts from them form X'r afresh.
@@ -306,19 +310,18 @@ class TestSweepGradients:
         assert path.gains.shape[0] == late
         assert all(path.gains_at(k) is None for k in range(late + 1, 7))
 
-        starts = []
-        iterate = core._iterate
-
-        def recorded(problem, init, M, opts, step):
-            starts.append((init.active.size, step.start))
-            return iterate(problem, init, M, opts, step)
-
-        monkeypatch.setattr(core, "_iterate", recorded)
+        # Gains pushed towards a column outside the prefix move the
+        # restart from the swept prefix (window [M, M] at p = 6), not the
+        # one from the near-dependent prefix, which is run's own restart.
+        outside = min(set(range(prob.p)) - set(path.steps[late - 1].active))
+        pushed = replace(path, gains=path.gains + 1e6 * prob.c * (np.arange(prob.p) == outside))
         for M in (late, late + 1):
-            multi_start_foss_fs(prob, M, path)
-        assert [size for size, _ in starts] == [late, late + 1]
-        assert np.array_equal(starts[0][1], path.gains_at(late))
-        assert starts[1][1] is None
+            res = multi_start_foss_fs(prob, M, path)
+            moved = multi_start_foss_fs(prob, M, pushed)
+            assert (moved.rss_trace.tobytes() != res.rss_trace.tobytes()) == (M == late)
+        fresh = run(prob, path.coef_at(late + 1), late + 1, IterationOptions("foss"))
+        assert res.coef.beta.tobytes() == fresh.coef.beta.tobytes()
+        assert res.rss_trace.tobytes() == fresh.rss_trace.tobytes()
 
 
 GREEDY_CASES = {
@@ -363,12 +366,52 @@ class TestStepwiseIsExactlyGreedy:
             prob = correlated_problem(66, n=120, p=400, d=3, rho=0.9)
         else:
             prob = near_collinear_problem(66, n=120, p=160, scale=1e-4)
-        order, Q, R, qty, truncated, _ = initializers._greedy_factor(prob, 60)
+        order, Q, R, qty, truncated, _ = initializers._greedy_factor(prob.X, prob.y[:, None], 60)[0]
         assert len(order) == 60 and not truncated
         assert np.linalg.norm(Q.T @ Q - np.eye(60)) <= 1e-12
         scale = np.sqrt(prob.n)
         np.testing.assert_allclose(Q @ R, prob.X[:, order], rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(qty, Q.T @ prob.y, rtol=0, atol=1e-12 * np.linalg.norm(prob.y))
+
+
+class TestStepwiseBlocks:
+    """``forward_stepwise_paths``: the sweeps of several responses on one
+    design, in lockstep."""
+
+    @pytest.mark.parametrize("rank", [None, 7])
+    def test_each_path_is_its_problems_own(self, rank):
+        # With rank 7 every sweep runs out of candidates at step 7 and
+        # the whole block leaves together, truncated.  Its last step is a
+        # near-tie (every remaining column's new part spans one
+        # direction), which rounding decides, so only the steps before
+        # it are compared there.
+        rng = np.random.default_rng(71)
+        X = rng.standard_normal((40, 25))
+        if rank:
+            X = X[:, :rank] @ rng.standard_normal((rank, 25))
+        design = prepare_design(X)
+        problems = [bind(design, X[:, :3] @ rng.standard_normal(3) + rng.standard_normal(40))
+                    for _ in range(3)]
+        paths = forward_stepwise_paths(problems, 12)
+        k = rank - 1 if rank else 12
+        for problem, path in zip(problems, paths):
+            own = forward_stepwise(problem, 12)
+            assert path.truncated == own.truncated == bool(rank)
+            assert path.order.size == own.order.size == (rank or 12)
+            np.testing.assert_array_equal(path.order[:k], own.order[:k])
+            np.testing.assert_allclose(path.coefs[:k], own.coefs[:k], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(path.gains[:k], own.gains[:k], rtol=0, atol=1e-9)
+
+    def test_a_block_of_one_is_forward_stepwise_bit_for_bit(self):
+        prob = correlated_problem(72, n=60, p=80)
+        (path,) = forward_stepwise_paths([prob], 20)
+        own = forward_stepwise(prob, 20)
+        assert path.coefs.tobytes() == own.coefs.tobytes()
+        assert path.gains.tobytes() == own.gains.tobytes()
+
+    def test_problems_must_share_one_design(self):
+        with pytest.raises(ValueError, match="share one design"):
+            forward_stepwise_paths([random_problem(73), random_problem(74)], 3)
 
 
 class TestImprovementWorkflow:
