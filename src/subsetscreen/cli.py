@@ -131,7 +131,9 @@ def cmd_screen(args, argv) -> int:
                 f"--test-rows {args.test_rows} leaves no training data "
                 f"(n = {X.shape[0]})",
             )
-        X, X_test = X[: -args.test_rows], X[-args.test_rows :]
+        # A copy, so the held-out rows do not keep the whole design alive
+        # once the training rows are standardized.
+        X, X_test = X[: -args.test_rows], X[-args.test_rows :].copy()
         y, y_test = y[: -args.test_rows], y[-args.test_rows :]
 
     method = args.method.lower()

@@ -23,7 +23,7 @@ iteration cap, and the ordinary step takes over from there.  ``run``
 and the multi-start restarts share one refitting iteration, memoized by
 set: a run is the walk from the set its first step reaches, so the
 restarts walk each distinct first set once, and they take their first
-gradients from the stepwise sweep's X'r instead of forming them.
+gradients from one product per chunk of stepwise prefixes.
 
 The oracle scores every subset S by a Householder QR of [X_S, y], many
 subsets per LAPACK call (the last diagonal entry of R is the residual
@@ -694,17 +694,15 @@ def multi_start_foss_fs(
 
     After its first step a restart's course depends only on the set that
     step thresholds to, so the restarts are not iterated one by one.
-    The first sets of all prefixes with sweep gains come from one
-    row-wise threshold of beta_k + gains_k / c, the gains being the
-    stepwise sweep's X'r of each prefix (``fs_path.gains``), which
-    equals X'(y - X beta) of the prefix fit up to rounding; near-dependent
-    prefixes, which the path refits by the minimum-norm solver, form
-    their gradient afresh.  Each distinct first set is walked once, and
-    each restart's result is built from its walk (see
+    The first sets of the prefixes come FIRST_SET_ROWS at a time from one
+    product X'(y - X_A B) for the chunk's coefficient rows B, thresholded
+    row by row; a prefix whose cut that product does not decide beyond
+    its rounding bound (``_first_sets``) forms its gradient afresh, as
+    ``run`` does, and so do the near-dependent prefixes, which the path
+    refits by the minimum-norm solver.  Each distinct first set is walked
+    once, and each restart's result is built from its walk (see
     ``_FossStep.restart``), with each set refit once per call.  So the
-    result is the one separate ``run`` calls give, bit for bit, unless a
-    restart's first candidate sits at an exact tie for the last place,
-    where its last bits can decide the set.
+    result is the one separate ``run`` calls give, bit for bit.
     """
     if opts is None:
         opts = IterationOptions(algorithm="foss")
@@ -716,30 +714,25 @@ def multi_start_foss_fs(
     if hi < 1:
         raise ValueError("stepwise path is empty")
     step = _FossStep(problem, M, opts)
-    swept = min(hi, fs_path.gains.shape[0])  # prefixes lo..swept have sweep gains
     best = None
     best_key = None
     first_on_set: dict[tuple[int, ...], ScreeningResult] = {}
     ranked: set[ScreeningResult] = set()
     for size in range(lo, hi + 1):
-        if size <= swept:
-            # First sets come FIRST_SET_ROWS prefixes at a time, which
-            # bounds the dense rows held at once.
-            row = (size - lo) % FIRST_SET_ROWS
-            if row == 0:
-                top = min(size + FIRST_SET_ROWS - 1, swept)
-                betas = fs_path.dense_coefs(size, top)
-                firsts = _first_sets(problem, betas, fs_path.gains[size - 1 : top], M)
-                within = np.count_nonzero(betas, axis=1) <= M
-            if within[row]:
-                coef = SparseCoef.from_dense(betas[row], M)
-                result = step.restart(coef, _residual(problem, coef), firsts[row])
-            else:  # no residual: beyond the budget, the run is its first set's walk
-                result = step.walk(firsts[row])
-        else:
-            coef = SparseCoef.from_dense(fs_path.coef_at(size).beta, M)
+        # FIRST_SET_ROWS prefixes at a time bounds the dense rows held at once.
+        row = (size - lo) % FIRST_SET_ROWS
+        if row == 0:
+            betas = fs_path.dense_coefs(size, min(size + FIRST_SET_ROWS - 1, hi))
+            firsts = _first_sets(problem, fs_path, size, betas, M)
+        coef = SparseCoef.from_dense(betas[row], M)
+        first = firsts[row]
+        # Beyond the budget the run is its first set's walk: no residual.
+        residual = None
+        if first is None or coef.active.size <= M:
             residual = _residual(problem, coef)
-            result = step.restart(coef, residual, step.first_set(coef, problem.X.T @ residual))
+        if first is None:
+            first = step.first_set(coef, problem.X.T @ residual)
+        result = step.restart(coef, residual, first)
         if result in ranked:  # a walk shared with an earlier restart
             continue
         ranked.add(result)
@@ -757,20 +750,67 @@ def multi_start_foss_fs(
     )
 
 
-def _first_sets(problem: StandardizedProblem, betas, gains, M: int) -> list[tuple[int, ...]]:
-    """Per row, the set ``_thresholded`` keeps of beta + gains / c with
-    budget M: the sets the first steps from the rows of ``betas`` reach,
-    by ``hard_threshold``'s cut and tie rule, without its zeros."""
-    v = gains / problem.c
-    v += betas  # in place: the same sum as betas + gains / c
+def _first_sets(problem: StandardizedProblem, fs_path, lo: int, betas, M: int) -> list:
+    """Per row of ``betas`` (the prefixes of sizes lo, lo + 1, ...), the
+    set the first step from it thresholds to with budget M, by
+    ``hard_threshold``'s cut and tie rule without its zeros; None where
+    that set is left to a gradient formed afresh.
+
+    The rows the sweep's factor solves take their gradients from
+    ``_prefix_gradients``.  With g within ``bound`` of the fresh
+    gradient, the entries of beta + g / c are within ``slack`` of the
+    fresh ones: twice bound / c plus the rounding of forming them.  A
+    row's set is decided when its M-th largest magnitude exceeds the
+    next one by more than twice ``slack``: then both gradients keep the
+    same M columns, all nonzero.
+    """
+    p = problem.p
+    sets = [None] * betas.shape[0]
+    swept = max(0, min(betas.shape[0], fs_path.factored - lo + 1))
+    if swept == 0:
+        return sets
+    B = betas[:swept]
+    G, bound = _prefix_gradients(problem, fs_path, lo, B)
+    eps = np.finfo(float).eps
+    v = G / problem.c
+    v += B  # in place: the same sum as B + G / c
+    slack = (2.0 * bound + eps * np.abs(G).max(axis=1)) / problem.c + eps * np.abs(v).max(axis=1)
     if problem.degenerate.any():
         v[:, problem.degenerate] = 0.0
-    keep = v != 0.0
-    if M < problem.p:
-        keep &= _largest(np.abs(v, out=v), M)
+    mag = np.abs(v, out=v)
+    if M < p:
+        part = np.partition(mag, (p - M - 1, p - M), axis=1)
+        cut, below = part[:, p - M], part[:, p - M - 1]
+    else:
+        cut, below = mag.min(axis=1), 0.0
+    decided = np.flatnonzero(cut - below > 2.0 * slack)
+    keep = mag[decided] >= cut[decided, None]
     columns = np.nonzero(keep)[1].tolist()
     ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-    return [tuple(columns[start:end]) for start, end in zip([0, *ends], ends)]
+    for i, start, end in zip(decided.tolist(), [0, *ends], ends):
+        sets[i] = tuple(columns[start:end])
+    return sets
+
+
+def _prefix_gradients(problem: StandardizedProblem, fs_path, lo: int, B):
+    """The gradients X'(y - X beta) of the rows of ``B`` (the prefixes
+    of sizes lo, lo + 1, ...) as the rows of one product X'(y - X_A B'),
+    and per row a bound on their distance from the gradient formed
+    afresh, X'(y - X_S beta_S) by ``_residual``.
+
+    Any summation order forms the residual within (k + 1) u a and its
+    product with a column of norm sqrt(n) within n u sqrt(n) a of the
+    exact values, where k is the largest prefix and a = ||y|| + sqrt(n)
+    ||beta||_1 bounds the residual's terms.  Both gradients are within
+    sqrt(n) (n + k + 1) u a of the exact one, so within
+    sqrt(n) (n + k + 1) eps a of each other (eps = 2u).
+    """
+    X, y = problem.X, problem.y
+    n = X.shape[0]
+    cols = fs_path.order[: lo + B.shape[0] - 1]
+    G = (y[:, None] - X[:, cols] @ B[:, cols].T).T @ X
+    a = np.linalg.norm(y) + math.sqrt(n) * np.abs(B).sum(axis=1)
+    return G, (n + cols.size + 1) * np.finfo(float).eps * math.sqrt(n) * a
 
 
 def exhaustive_best_subset(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain
@@ -403,6 +402,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     # The pool starts all its processes at the first submit.
     workers = min(workers, len(blocks))
     if workers > 1:
+        # Imported here: the pool's modules are a few MB that a run in
+        # this process never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             evaluated = list(chain.from_iterable(pool.map(task, blocks)))
     else:

@@ -28,6 +28,10 @@ SPAN_RTOL2 = 1e-20
 # of roughly eps * n per step, far above SPAN_RTOL2.
 NORM_RECOMPUTE_RTOL2 = 1e-8
 
+# Stale norms are recomputed this many columns at a time, which bounds
+# the block of residualized columns held at once to n x STALE_BLOCK.
+STALE_BLOCK = 256
+
 # Stepwise scores within this relative distance of the largest one are
 # ties, and the smallest index among them is added.  Equal columns get
 # scores that differ only by rounding (a BLAS kernel may treat the same
@@ -60,10 +64,10 @@ class FsPath:
     row ``size - 1`` of ``coefs`` holds the least-squares coefficients
     of the size-``size`` prefix on ``order[:size]`` (0 after them).
     ``truncated`` is set when the rank budget ran out before reaching
-    ``max_size``; ``p`` is the number of columns of the problem.
-    ``gains[size - 1]`` is X'r for the sweep's residual r after ``size``
-    steps, kept for the prefixes whose coefficients come from the sweep's
-    own factor (not for the near-dependent ones after them).
+    ``max_size``; ``p`` is the number of columns of the problem.  The
+    prefixes of sizes 1..``factored`` are solved from the sweep's own
+    factor; the near-dependent ones after them are refit by the
+    minimum-norm solver.  No array holds a row of p entries per prefix.
     """
 
     order: np.ndarray
@@ -71,7 +75,7 @@ class FsPath:
     max_size: int
     truncated: bool
     p: int
-    gains: np.ndarray
+    factored: int
 
     @cached_property
     def steps(self) -> tuple[FsStep, ...]:
@@ -98,11 +102,6 @@ class FsPath:
         beta = np.zeros((hi - lo + 1, self.p))
         beta[:, self.order] = self.coefs[lo - 1 : hi]
         return beta
-
-    def gains_at(self, size: int) -> np.ndarray | None:
-        """X'(y - X beta) of the size-``size`` prefix from the sweep, or
-        None where the prefix is near-dependent."""
-        return self.gains[size - 1] if size <= self.gains.shape[0] else None
 
 
 def sis(problem: StandardizedProblem, M: int) -> SparseCoef:
@@ -155,9 +154,14 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
     That drop is (x_j'r)^2 / ||z_j||^2, where r is the current residual
     and z_j the part of x_j orthogonal to the selected span; r is itself
     orthogonal to that span, so x_j'r needs no residualized copy of the
-    design, and ||z_j||^2 is downdated step by step (recomputed when it
-    shrinks by eight orders of magnitude).  If the candidates run out of
-    numerical rank before ``max_size`` the path truncates and is flagged.
+    design.  Both are downdated step by step from one product q'X with
+    the new basis vector q: ||z_j||^2 is recomputed, a block of columns
+    at a time, when it shrinks by eight orders of magnitude, and X'r is
+    formed afresh whenever its downdated values, within their rounding
+    bound, do not decide the step (a near-tie among the scores).  If the
+    candidates run out of numerical rank before ``max_size`` the path
+    truncates and is flagged.  Beyond the design, the sweep holds O(n k
+    + p) numbers for a path of k steps.
 
     Every prefix is recorded with its least-squares refit.  The sweep
     builds a QR factorization of the selected columns in selection
@@ -172,13 +176,8 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
     step whose diagonal entry of R falls to ``FACTOR_SOLVE_RTOL`` times
     the largest one or below, that prefix and every later one are refit
     by ``min_norm_least_squares`` instead, so near-dependent prefixes
-    keep minimum-norm semantics.
-
-    The path also keeps the sweep's scores X'r after each step up to the
-    first near-dependent one (``FsPath.gains``): in exact arithmetic the
-    sweep's residual is that of the prefix's least-squares fit, so they
-    are the gradients the refitting restarts of ``multi_start_foss_fs``
-    start from.
+    keep minimum-norm semantics (``FsPath.factored`` counts the prefixes
+    before them).
 
     This is ``forward_stepwise_paths`` on a block of one problem.
     """
@@ -190,9 +189,9 @@ def forward_stepwise_paths(problems, max_size: int) -> tuple[FsPath, ...]:
 
     ``problems`` must share one design matrix (``bind`` on one
     ``PreparedDesign``).  Their sweeps run in lockstep, one step of every
-    sweep at a time: the scores of all of them are one product X'R and
-    their new rows q'X one more, two GEMMs per step in place of two
-    GEMVs per problem.  A GEMM forms each column with other rounding
+    sweep at a time: their new rows q'X are one GEMM per step in place
+    of one GEMV per problem, and so is the X'R of the sweeps whose scores
+    are formed afresh.  A GEMM forms each column with other rounding
     than a GEMV, so a path can differ from the problem's own
     ``forward_stepwise`` in its last bits (and pick another column at a
     near-tie); within a block, a column's bits do not depend on the
@@ -211,12 +210,12 @@ def forward_stepwise_paths(problems, max_size: int) -> tuple[FsPath, ...]:
     Y = np.column_stack([problem.y for problem in problems])
     factors = _greedy_factor(X, Y, max_size)
     return tuple(
-        _path(problem, max_size, order, R, qty, truncated, gains)
-        for problem, (order, _, R, qty, truncated, gains) in zip(problems, factors)
+        _path(problem, max_size, order, R, qty, truncated)
+        for problem, (order, _, R, qty, truncated) in zip(problems, factors)
     )
 
 
-def _path(problem: StandardizedProblem, max_size, order, R, qty, truncated, gains) -> FsPath:
+def _path(problem: StandardizedProblem, max_size, order, R, qty, truncated) -> FsPath:
     """The prefixes of one sweep's factor X[:, order] = Q R, qty = Q'y."""
     size = order.size
     # Every column has norm sqrt(n) and residualizing only shrinks it,
@@ -238,7 +237,7 @@ def _path(problem: StandardizedProblem, max_size, order, R, qty, truncated, gain
         coefs[k, by_index] = min_norm_least_squares(problem.X[:, active], problem.y)
     return FsPath(
         order=order, coefs=coefs, max_size=max_size, truncated=truncated, p=problem.p,
-        gains=gains[:usable],
+        factored=usable,
     )
 
 
@@ -246,15 +245,22 @@ def _greedy_factor(X: np.ndarray, Y: np.ndarray, max_size: int):
     """The greedy column order and the QR factor of the chosen columns,
     for each column y of the n x b response block ``Y`` on the design X.
 
-    Returns, per column of Y, ``(order, Q, R, qty, truncated, gains)``
-    with X[:, order] = Q R, Q orthonormal (n x k), R upper-triangular
-    (k x k), qty = Q'y and ``gains[i]`` = X'r for the residual r after
-    step i + 1, where k = len(order) is ``max_size`` unless that sweep
+    Returns, per column of Y, ``(order, Q, R, qty, truncated)`` with
+    X[:, order] = Q R, Q orthonormal (n x k), R upper-triangular (k x k)
+    and qty = Q'y, where k = len(order) is ``max_size`` unless that sweep
     truncated.  The b sweeps take their steps together; a sweep that
     truncates leaves the block.
+
+    Each step forms one product with X, the new basis rows w = q'X,
+    which downdate both the squared norms and the scores:
+    X'r_k = X'r_(k-1) - (q_k'y) w_k.  Where the downdated scores do not
+    decide a sweep's step beyond their drift bound (``_pick``), its X'r
+    is formed afresh, as ``residual @ X``, before that step is taken.
     """
     n, p = X.shape
     thresh = SPAN_RTOL2 * n
+    eps = np.finfo(float).eps
+    unit = eps * math.sqrt(n)  # |x_j'd| <= sqrt(n) ||d|| for a column of X
     live = list(range(Y.shape[1]))  # the response each row below belongs to
     b = len(live)
     norms2 = np.tile(np.einsum("ij,ij->j", X, X), (b, 1))
@@ -264,26 +270,22 @@ def _greedy_factor(X: np.ndarray, Y: np.ndarray, max_size: int):
     residual = Y.T.copy()
     order = np.empty((b, max_size), dtype=int)
     Q = np.empty((b, n, max_size))
-    # Row i holds q_i' X, the first-pass projection coefficients.
-    W = np.empty((b, max_size, p))
     R = np.zeros((b, max_size, max_size))
     qty = np.empty((b, max_size))
-    # Row i holds X'r after step i + 1: the scores of step i + 2, and for
-    # the last step one product more.
-    after = np.empty((b, max_size, p))
+    # Row i of gains is X'r for the residual r of row i, downdated step
+    # by step; err[i] bounds its distance from the exact X'r of the
+    # computed residual.  None are formed yet, so the first step forms
+    # every row's product.
+    gains = np.zeros((b, p))
+    err = np.full(b, np.inf)
     factors = [None] * b
 
     def finish(rows, k, truncated):
         for i in rows:
-            factors[live[i]] = (
-                order[i, :k], Q[i, :, :k], R[i, :k, :k], qty[i, :k], truncated, after[i, :k]
-            )
+            factors[live[i]] = (order[i, :k], Q[i, :, :k], R[i, :k, :k], qty[i, :k], truncated)
 
     rows = np.arange(b)
     for k in range(max_size):
-        gains = residual @ X
-        if k:
-            after[:, k - 1] = gains
         kept = candidate.any(axis=1)
         if not kept.all():
             finish(np.flatnonzero(~kept), k, True)
@@ -291,39 +293,82 @@ def _greedy_factor(X: np.ndarray, Y: np.ndarray, max_size: int):
                 return factors
             live = [i for i, keep in zip(live, kept) if keep]
             rows = np.arange(len(live))
-            residual, norms2, candidate, order, Q, W, R, qty, after, gains = (
-                a[kept] for a in (residual, norms2, candidate, order, Q, W, R, qty, after, gains)
+            residual, norms2, candidate, order, Q, R, qty, gains, err = (
+                a[kept] for a in (residual, norms2, candidate, order, Q, R, qty, gains, err)
             )
-        scores = np.full_like(gains, -np.inf)
-        np.divide(gains * gains, norms2, out=scores, where=candidate)
-        top = scores.max(axis=1, keepdims=True)
-        j = np.argmax(scores >= top * (1.0 - TIE_RTOL), axis=1)
+        # A product formed afresh is itself within n eps sqrt(n) ||r|| of
+        # the exact one (the factor 2 over the dot-product bound n u also
+        # covers the rounding of the scores compared).
+        fresh_err = n * unit * np.linalg.norm(residual, axis=1)
+        j, decided = _pick(gains, err + fresh_err, norms2, candidate)
+        if not decided.all():
+            redo = np.flatnonzero(~decided)
+            gains[redo] = residual[redo] @ X
+            err[redo] = fresh_err[redo]
+            j[redo] = _pick(gains[redo], err[redo], norms2[redo], candidate[redo])[0]
 
         basis = Q[:, :, :k]
-        w_j = W[rows, :k, j]
-        z = X.T[j] - np.matmul(basis, w_j[:, :, None])[:, :, 0]
+        x_j = X.T[j]
+        w_j = np.matmul(x_j[:, None, :], basis)[:, 0]
+        z = x_j - np.matmul(basis, w_j[:, :, None])[:, :, 0]
         again = np.matmul(basis.transpose(0, 2, 1), z[:, :, None])
         z -= np.matmul(basis, again)[:, :, 0]
         r_kk = np.sqrt(np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0])
         q = z / r_kk[:, None]
         w = q @ X
         Q[:, :, k] = q
-        W[:, k] = w
         R[:, :k, k] = w_j + again[:, :, 0]
         R[:, k, k] = r_kk
         qty[:, k] = np.matmul(q[:, None, :], residual[:, :, None])[:, 0, 0]
         residual -= q * qty[:, k, None]
         order[:, k] = j
 
+        # Downdating adds, per step, the rounding of the residual update
+        # (u sqrt(n) (||r|| + |q'y|)), of w (n u sqrt(n) |q'y|) and of the
+        # subtraction (u |X'r|), each counted twice.
+        gains -= qty[:, k, None] * w
+        err += unit * (np.linalg.norm(residual, axis=1) + n * np.abs(qty[:, k]))
+        err += eps * np.abs(gains).max(axis=1)
+
         norms2 = np.maximum(norms2 - w * w, 0.0)
         candidate[rows, j] = False
+        if k + 1 == max_size:
+            break  # the last step's norms are never read
         stale = candidate & (norms2 < NORM_RECOMPUTE_RTOL2 * n)
         for i in np.flatnonzero(stale.any(axis=1)) if stale.any() else ():
-            cols = stale[i]
-            E = X[:, cols] - Q[i, :, : k + 1] @ W[i, : k + 1][:, cols]
-            norms2[i, cols] = np.einsum("ij,ij->j", E, E)
+            cols = np.flatnonzero(stale[i])
+            basis = Q[i, :, : k + 1]
+            for start in range(0, cols.size, STALE_BLOCK):
+                block = cols[start : start + STALE_BLOCK]
+                E = X[:, block]
+                E -= basis @ (basis.T @ E)
+                norms2[i, block] = np.einsum("ij,ij->j", E, E)
             candidate[i, cols] = norms2[i, cols] > thresh
 
-    after[:, -1] = residual @ X
     finish(range(len(live)), max_size, False)
     return factors
+
+
+def _pick(gains, drift, norms2, candidate):
+    """Each row's step from its scores gains^2 / norms2, and whether any
+    gains within ``drift`` (one bound per row) of these take it too.
+
+    The step adds the smallest index scoring at least (1 - TIE_RTOL)
+    times the top score.  It is decided when, with the gains moved by up
+    to their drift, the top column's lowest score still exceeds every
+    other candidate's highest by that factor: then any such gains have
+    the same top and nothing else within TIE_RTOL of it.  So a tie
+    within TIE_RTOL is never decided.
+    """
+    scores = np.full_like(gains, -np.inf)
+    np.divide(gains * gains, norms2, out=scores, where=candidate)
+    top = scores.max(axis=1, keepdims=True)
+    j = np.argmax(scores >= top * (1.0 - TIE_RTOL), axis=1)
+    rows = np.arange(j.size)
+    lowest = np.maximum(np.abs(gains[rows, j]) - drift, 0.0) ** 2 / norms2[rows, j]
+    reach = np.abs(gains)
+    reach += drift[:, None]
+    highest = scores
+    np.divide(reach * reach, norms2, out=highest, where=candidate)
+    highest[rows, j] = -np.inf
+    return j, highest.max(axis=1) < (1.0 - TIE_RTOL) * lowest

@@ -147,7 +147,10 @@ def prepare_design(X_raw) -> PreparedDesign:
     equals the number of rows.  Constant columns are kept (scale 1,
     zeroed out) and flagged so downstream solvers skip them.  The
     returned arrays are read-only, so one design can back any number of
-    problems.
+    problems.  Beyond the caller's X, the work holds one n x p float
+    array (centered, then scaled in place into the returned X), an
+    n x p finiteness mask while checking, and O(n + p) more (the
+    spectral constant's Lanczos basis has min(n, p) rows).
 
     Parameters
     ----------
@@ -179,7 +182,8 @@ def prepare_design(X_raw) -> PreparedDesign:
     col_sd = np.sqrt(np.einsum("ij,ij->j", Xc, Xc) / n)
     degenerate = col_sd <= 1e-12 * np.maximum(1.0, np.abs(col_means))
     col_scales = np.where(degenerate, 1.0, col_sd)
-    X = Xc / col_scales
+    X = Xc
+    X /= col_scales  # in place: the same quotients as Xc / col_scales
     if degenerate.any():
         X[:, degenerate] = 0.0
 

@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and instance generators."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -292,3 +293,17 @@ def reference_run(problem, init, M, opts):
     return ScreeningResult(
         coef=best, rss_trace=np.asarray(trace), iterations=iterations, termination=termination
     )
+
+
+def traced_bytes(fn, *args):
+    """``fn(*args)`` and the bytes it allocated at its peak and still
+    holds on return, both above what was allocated before the call, as
+    tracemalloc counts them (numpy reports its array buffers)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before

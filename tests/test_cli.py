@@ -1,8 +1,11 @@
+import ast
+import gc
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from subsetscreen import (
     TrueModel,
     child_stream,
+    cli,
     exhaustive_best_subset,
     gen_equicorrelated_design,
     gen_response,
@@ -235,6 +239,34 @@ class TestScreen:
         assert set(range(1, d + 1)) <= set(result["selected"])
         assert result["test_mse"] <= 2.0 * sigma**2
         assert result["n"] == 200 and result["test_rows"] == 30
+
+    def test_held_out_rows_do_not_keep_the_design_alive(self, tmp_path, monkeypatch):
+        # The held-out rows are copied, so once the training rows are
+        # standardized nothing holds the design as read while the method
+        # runs.
+        rng = np.random.default_rng(85)
+        X = rng.standard_normal((40, 6))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0] + 0.1 * rng.standard_normal(40))
+        read, run_method = cli._read_xy, cli.run_method
+        design, alive = [], []
+
+        def recorded_read(*args):
+            X, y = read(*args)
+            design.append(weakref.ref(X if X.base is None else X.base))
+            return X, y
+
+        def recorded_run(*args, **kwargs):
+            gc.collect()
+            alive.append(design[0]() is not None)
+            return run_method(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_read_xy", recorded_read)
+        monkeypatch.setattr(cli, "run_method", recorded_run)
+        out = tmp_path / "result.json"
+        argv = ["screen", x_path, y_path, "-M", "2", "--test-rows", "5", "--out", str(out)]
+        assert main(argv) == 0
+        assert alive == [False]
+        assert json.loads(out.read_text())["test_rows"] == 5
 
     @pytest.mark.parametrize("rows", ["0", "-1"])
     def test_out_of_range_test_rows_exits_3(self, tmp_path, rows):
@@ -592,9 +624,9 @@ def test_flag_a_subcommand_does_not_use_exits_2(tmp_path, command, flag):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.mark.parametrize("command", ["screen", "simulate", "oracle"])
-def test_no_command_imports_scipy(tmp_path, command):
-    # Importing scipy.linalg would cost about 0.3 s of start-up per call.
+def _modules_after_command(tmp_path, command):
+    """The modules a fresh interpreter holds after running ``command``
+    on a small input."""
     rng = np.random.default_rng(83)
     X = rng.standard_normal((12, 5))
     x_path, y_path = write_xy(tmp_path, X, X[:, 0] + 0.1 * rng.standard_normal(12))
@@ -606,13 +638,14 @@ def test_no_command_imports_scipy(tmp_path, command):
     argv = {
         "screen": ["screen", x_path, y_path, "-M", "2"],
         "simulate": ["simulate", str(config)],
+        "simulate --workers 1": ["simulate", str(config), "--workers", "1"],
         "oracle": ["oracle", x_path, y_path, "-M", "2"],
     }[command]
     script = (
         "import sys\n"
         "from subsetscreen.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
@@ -620,4 +653,20 @@ def test_no_command_imports_scipy(tmp_path, command):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["screen", "simulate", "oracle"])
+def test_no_command_imports_scipy(tmp_path, command):
+    # Importing scipy.linalg would cost about 0.3 s of start-up per call.
+    modules = _modules_after_command(tmp_path, command)
+    assert [m for m in modules if m.startswith("scipy")] == []
+
+
+@pytest.mark.parametrize("command", ["screen", "oracle", "simulate --workers 1"])
+def test_no_command_imports_a_process_pool(tmp_path, command):
+    # The pool's modules are a few MB of every call's peak that a run in
+    # one process never uses.
+    modules = _modules_after_command(tmp_path, command)
+    assert "concurrent.futures.process" not in modules
+    assert [m for m in modules if m.split(".")[0] == "multiprocessing"] == []

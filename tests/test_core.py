@@ -482,14 +482,15 @@ class TestMultiStartMatchesPlainRestarts:
 def _near_dependent_problem(seed):
     # Column 19 is column 0 plus a 1e-7 perturbation that carries signal:
     # from the step that adds the second of them, the stepwise prefixes
-    # are refit by the minimum-norm solver and have no sweep gains.  M is
-    # set so that the restart window [M - 2, M + 2] spans both kinds.
+    # are refit by the minimum-norm solver and their restarts form their
+    # gradient afresh.  M is set so that the restart window [M - 2, M + 2]
+    # spans both kinds.
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((40, 19))
     e = rng.standard_normal(40)
     X = np.hstack([base, base[:, [0]] + 1e-7 * e[:, None]])
     prob = standardize(X, base[:, :4] @ np.array([2.0, -1.5, 1.0, 0.5]) + 3.0 * e)
-    return prob, forward_stepwise(prob, 12).gains.shape[0] + 1
+    return prob, forward_stepwise(prob, 12).factored + 1
 
 
 def _degenerate_problem(seed):
@@ -572,8 +573,8 @@ class TestMultiStartWalksMatchPlainRestarts:
             lo, hi = multi_start_window(prob.n, prob.p, M)
             for size in range(lo, min(hi, len(path.steps)) + 1):
                 init = path.coef_at(size)
-                if path.gains_at(size) is None:
-                    met.add("no sweep gains")
+                if size > path.factored:
+                    met.add("near-dependent prefix")
                 for name, opts in WALK_OPTIONS.items():
                     got = reference_run(prob, init, M, opts)
                     if init.active.size <= M and got.termination == TERM_CONVERGED:
@@ -586,7 +587,7 @@ class TestMultiStartWalksMatchPlainRestarts:
             if prob.degenerate.any():
                 met.add("degenerate columns")
         assert {
-            "no sweep gains", "degenerate columns", "cycle", "max_iter-1", "max_iter-2",
+            "near-dependent prefix", "degenerate columns", "cycle", "max_iter-1", "max_iter-2",
             "first step stops against the prefix at rel_tol-0.5",
         } <= met
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -252,7 +254,8 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        # run_experiment imports the pool only when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         methods = ["sis"]
         expected = run_experiment(small_config(repetitions=3, methods=methods), workers=1)
         got = run_experiment(small_config(repetitions=3, methods=methods), workers=64)

@@ -1,11 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from subsetscreen import (
     IterationOptions,
+    core,
     exhaustive_best_subset,
     bind,
     forward_stepwise,
@@ -21,7 +20,7 @@ from subsetscreen import (
     standardize,
 )
 
-from _support import count_min_norm_calls, orthogonal_design, random_problem
+from _support import count_min_norm_calls, orthogonal_design, random_problem, traced_bytes
 
 
 def correlated_problem(seed, n=40, p=12, d=3, rho=0.6):
@@ -206,7 +205,7 @@ class TestForwardStepwise:
         eps = np.finfo(float).eps
         for name, (prob, size) in STEPWISE_FACTOR_CASES.items():
             path = forward_stepwise(prob, size)
-            order, _, R, qty, _, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
+            order, _, R, qty, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
             diag = np.diag(R)
             usable = np.logical_and.accumulate(diag > initializers.FACTOR_SOLVE_RTOL * diag[0]).sum()
             assert usable >= 4, name
@@ -271,31 +270,37 @@ STEPWISE_FACTOR_CASES = {
 
 
 class TestSweepGradients:
-    """``FsPath.gains``: the sweep's X'r, which the multi-start restarts
-    take as their first gradient."""
+    """``core._prefix_gradients``: one product per chunk of stepwise
+    prefixes, which the multi-start restarts take as their first
+    gradient where it decides the first set."""
 
     @pytest.mark.parametrize("name", sorted(STEPWISE_FACTOR_CASES))
     def test_matches_the_fresh_gradient(self, name):
-        # Tolerance: the sweep's residual and the prefix fit's residual
-        # differ by X_A times the prefix coefficients' forward error
-        # (at most 8 k eps cond(R_k) max|beta|, the bound of the test
-        # above) plus the rounding of forming the fresh residual, and
+        # Tolerance: the prefix coefficients are within 8 k eps cond(R_k)
+        # max|beta| of the exact ones (the bound of the test above), and
         # |x_j'd| <= sqrt(n) ||d||, so for every prefix the factor solves
         #   max|gains - X'(y - X beta)| <= 8 k eps cond(R_k) sqrt(n) a,
-        # with a = ||y|| + sqrt(n) ||beta||_1.
+        # with a = ||y|| + sqrt(n) ||beta||_1.  The stated bound of the
+        # product, which the first sets rest on, must hold as well.
         prob, size = STEPWISE_FACTOR_CASES[name]
         eps = np.finfo(float).eps
         path = forward_stepwise(prob, size)
-        _, _, R, _, _, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
-        assert path.gains.shape == (path.gains.shape[0], prob.p)
-        for k in range(1, path.gains.shape[0] + 1):
-            coef = path.coef_at(k)
-            fresh = prob.X.T @ (prob.y - prob.X @ coef.beta)
-            a = np.linalg.norm(prob.y) + np.sqrt(prob.n) * np.abs(coef.beta).sum()
-            bound = 8 * k * eps * np.linalg.cond(R[:k, :k]) * np.sqrt(prob.n) * a
-            assert np.abs(path.gains_at(k) - fresh).max() <= bound, (name, k)
+        _, _, R, _, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
+        assert path.factored >= 4, name
+        for lo in range(1, path.factored + 1, core.FIRST_SET_ROWS):
+            hi = min(lo + core.FIRST_SET_ROWS - 1, path.factored)
+            gains, stated = core._prefix_gradients(prob, path, lo, path.dense_coefs(lo, hi))
+            assert gains.shape == (hi - lo + 1, prob.p)
+            for k in range(lo, hi + 1):
+                coef = path.coef_at(k)
+                fresh = prob.X.T @ (prob.y - prob.X @ coef.beta)
+                a = np.linalg.norm(prob.y) + np.sqrt(prob.n) * np.abs(coef.beta).sum()
+                bound = 8 * k * eps * np.linalg.cond(R[:k, :k]) * np.sqrt(prob.n) * a
+                err = np.abs(gains[k - lo] - fresh).max()
+                assert err <= bound, (name, k)
+                assert err <= stated[k - lo], (name, k)
 
-    def test_near_dependent_prefixes_keep_the_fresh_gradient(self):
+    def test_near_dependent_prefixes_keep_the_fresh_gradient(self, monkeypatch):
         # Column 5 is column 0 plus a 1e-7 perturbation: from the step that
         # adds the second of them, prefixes are refit by the minimum-norm
         # solver, and restarts from them form X'r afresh.
@@ -307,21 +312,148 @@ class TestSweepGradients:
         path = forward_stepwise(prob, 6)
         added = [step.added for step in path.steps]
         late = max(added.index(0), added.index(5))
-        assert path.gains.shape[0] == late
-        assert all(path.gains_at(k) is None for k in range(late + 1, 7))
+        assert path.factored == late
 
         # Gains pushed towards a column outside the prefix move the
         # restart from the swept prefix (window [M, M] at p = 6), not the
         # one from the near-dependent prefix, which is run's own restart.
         outside = min(set(range(prob.p)) - set(path.steps[late - 1].active))
-        pushed = replace(path, gains=path.gains + 1e6 * prob.c * (np.arange(prob.p) == outside))
+        product = core._prefix_gradients
+        pushed_sizes = []
+
+        def pushed(problem, fs_path, lo, B):
+            gains, bound = product(problem, fs_path, lo, B)
+            pushed_sizes.extend(range(lo, lo + B.shape[0]))
+            return gains + 1e6 * prob.c * (np.arange(prob.p) == outside), bound
+
         for M in (late, late + 1):
             res = multi_start_foss_fs(prob, M, path)
-            moved = multi_start_foss_fs(prob, M, pushed)
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_prefix_gradients", pushed)
+                moved = multi_start_foss_fs(prob, M, path)
             assert (moved.rss_trace.tobytes() != res.rss_trace.tobytes()) == (M == late)
+        assert pushed_sizes == [late]
         fresh = run(prob, path.coef_at(late + 1), late + 1, IterationOptions("foss"))
         assert res.coef.beta.tobytes() == fresh.coef.beta.tobytes()
         assert res.rss_trace.tobytes() == fresh.rss_trace.tobytes()
+
+
+def _recorded_sweep(monkeypatch, prob, size):
+    """The sweep of one problem and, per step, the inputs and verdict of
+    its ``_pick`` call, with the call on the refreshed scores where the
+    downdated ones did not decide the step (else None)."""
+    calls = []
+    pick = initializers._pick
+
+    def recorded(gains, drift, norms2, candidate):
+        j, decided = pick(gains, drift, norms2, candidate)
+        calls.append((gains[0].copy(), drift[0], norms2[0].copy(), candidate[0].copy(),
+                      int(j[0]), bool(decided[0])))
+        return j, decided
+
+    monkeypatch.setattr(initializers, "_pick", recorded)
+    factor = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
+    monkeypatch.undo()
+    steps, calls = [], iter(calls)
+    for first in calls:
+        steps.append((first, None if first[5] else next(calls)))
+    return factor, steps
+
+
+def _exact_response_problem(seed=71):
+    # A forced near-tie: the response is exactly twice column 1, so after
+    # the first step every score is rounding noise, and which column the
+    # noise favours depends on how X'r was formed.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((30, 40))
+    return standardize(X, 2.0 * X[:, 1])
+
+
+DOWNDATE_CASES = {
+    **{name: (lambda case=case: case) for name, case in STEPWISE_FACTOR_CASES.items()},
+    "wide": lambda: (correlated_problem(70, n=60, p=900, d=4), 59),
+    "exact-response": lambda: (_exact_response_problem(), 12),
+}
+
+
+class TestDowndatedScores:
+    """The sweep downdates X'r from one product per step and forms it
+    afresh where the downdated scores do not decide the step."""
+
+    @pytest.mark.parametrize("name", sorted(DOWNDATE_CASES))
+    def test_within_the_drift_bound_of_the_fresh_product(self, monkeypatch, name):
+        # At every step the downdated gains are within the stated drift
+        # of residual @ X formed afresh (the residual replayed bit for bit
+        # from Q and Q'y), a refresh forms exactly that product, and each
+        # step adds the column the scores from it choose.
+        prob, size = DOWNDATE_CASES[name]()
+        (order, Q, _, qty, _), steps = _recorded_sweep(monkeypatch, prob, size)
+        assert len(steps) == order.size
+        residual = prob.y[None, :].copy()
+        for k, (first, refresh) in enumerate(steps):
+            fresh = (residual @ prob.X)[0]
+            gains, drift, norms2, candidate, j, _ = first
+            assert np.all(np.abs(gains - fresh) <= drift), (name, k)
+            if refresh is not None:
+                gains, _, norms2, candidate, j, _ = refresh
+                assert gains.tobytes() == fresh.tobytes()
+            scores = np.full(prob.p, -np.inf)
+            np.divide(fresh * fresh, norms2, out=scores, where=candidate)
+            rule = int(np.argmax(scores >= scores.max() * (1.0 - initializers.TIE_RTOL)))
+            assert order[k] == j == rule, (name, k)
+            residual -= Q[:, k] * qty[k]
+        refreshed = [k for k, (_, refresh) in enumerate(steps) if refresh is not None]
+        assert refreshed[0] == 0  # the first scores are the first product
+        if name == "exact-response":
+            assert len(refreshed) > 1
+
+    def test_a_tie_at_the_top_is_formed_afresh(self, monkeypatch):
+        # Columns 3 and 8 are equal, so at the step that adds column 3
+        # their scores tie within TIE_RTOL, which is never decided by
+        # downdated scores.
+        rng = np.random.default_rng(65)
+        X = rng.standard_normal((40, 10))
+        X[:, 8] = X[:, 3]
+        y = X[:, :4] @ np.array([3.0, -2.5, 2.0, 1.0]) + 0.3 * rng.standard_normal(40)
+        (order, *_), steps = _recorded_sweep(monkeypatch, standardize(X, y), 6)
+        k = order.tolist().index(3)
+        assert 8 not in order.tolist()
+        first, refresh = steps[k]
+        assert refresh is not None and refresh[4] == 3
+
+
+class TestSweepMemory:
+    """What the sweep holds, counted by tracemalloc."""
+
+    def test_path_keeps_no_row_of_p_per_prefix(self):
+        # A 49-step path on 3,000 columns holds its order and the k x k
+        # coefficient block: no array has more than one row of p entries
+        # (k^2 < p here), and the path holds little beyond k^2 + k words.
+        n, p, k = 50, 3000, 49
+        prob = correlated_problem(76, n=n, p=p, d=4)
+        forward_stepwise(prob, k)  # one-time allocations of a first call
+        path, _, held = traced_bytes(forward_stepwise, prob, k)
+        arrays = [value for value in vars(path).values() if isinstance(value, np.ndarray)]
+        assert {id(path.order), id(path.coefs)} <= {id(a) for a in arrays}
+        assert all(a.size <= p for a in arrays)
+        assert held <= 8 * (k * k + 2 * k) + 4096
+
+    def test_stale_norms_are_recomputed_in_blocks(self):
+        # A rank-10 design on 20,000 columns: after 10 steps every
+        # remaining column lies in the selected span, so all of them go
+        # stale at once.  The path truncates there only if each of their
+        # norms was recomputed.  The sweep's peak stays within O(p) rows,
+        # the basis and three n x STALE_BLOCK blocks: far below the
+        # n x p block a recompute of all of them at once would take.
+        n, p, rank = 40, 20_000, 10
+        rng = np.random.default_rng(77)
+        X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        prob = standardize(X, X[:, :3] @ np.array([1.0, -1.0, 0.5]) + rng.standard_normal(n))
+        path, peak, _ = traced_bytes(forward_stepwise, prob, n - 1)
+        assert path.truncated and path.order.size == rank
+        block = initializers.STALE_BLOCK
+        bound = 8 * (16 * p + 2 * n * (n - 1) + 4 * (n - 1) ** 2 + 3 * n * block)
+        assert peak <= bound < 8 * n * p
 
 
 GREEDY_CASES = {
@@ -366,7 +498,7 @@ class TestStepwiseIsExactlyGreedy:
             prob = correlated_problem(66, n=120, p=400, d=3, rho=0.9)
         else:
             prob = near_collinear_problem(66, n=120, p=160, scale=1e-4)
-        order, Q, R, qty, truncated, _ = initializers._greedy_factor(prob.X, prob.y[:, None], 60)[0]
+        order, Q, R, qty, truncated = initializers._greedy_factor(prob.X, prob.y[:, None], 60)[0]
         assert len(order) == 60 and not truncated
         assert np.linalg.norm(Q.T @ Q - np.eye(60)) <= 1e-12
         scale = np.sqrt(prob.n)
@@ -400,14 +532,15 @@ class TestStepwiseBlocks:
             assert path.order.size == own.order.size == (rank or 12)
             np.testing.assert_array_equal(path.order[:k], own.order[:k])
             np.testing.assert_allclose(path.coefs[:k], own.coefs[:k], rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(path.gains[:k], own.gains[:k], rtol=0, atol=1e-9)
+            assert path.factored == own.factored
 
     def test_a_block_of_one_is_forward_stepwise_bit_for_bit(self):
         prob = correlated_problem(72, n=60, p=80)
         (path,) = forward_stepwise_paths([prob], 20)
         own = forward_stepwise(prob, 20)
+        assert path.order.tobytes() == own.order.tobytes()
         assert path.coefs.tobytes() == own.coefs.tobytes()
-        assert path.gains.tobytes() == own.gains.tobytes()
+        assert (path.factored, path.truncated) == (own.factored, own.truncated)
 
     def test_problems_must_share_one_design(self):
         with pytest.raises(ValueError, match="share one design"):

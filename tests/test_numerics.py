@@ -16,7 +16,7 @@ from subsetscreen import (
     sylvester_hadamard,
 )
 
-from _support import jacobi_max_eigenvalue
+from _support import jacobi_max_eigenvalue, traced_bytes
 
 
 class TestStandardize:
@@ -305,6 +305,20 @@ class TestPrepareAndBind:
             assert getattr(whole, field).tobytes() == getattr(split, field).tobytes()
         assert (whole.c, whole.y_mean) == (split.c, split.y_mean)
         assert split.X is design.X
+
+    def test_prepare_design_holds_one_copy_of_the_design(self):
+        # Beyond the caller's X: one n x p float array (centered, then
+        # scaled in place), the n x p finiteness mask while checking, and
+        # O(n + p) more, allowed as 16 (n + p) floats plus the Lanczos
+        # basis of at most min(n, p)^2 floats.
+        n, p = 200, 2000
+        X = np.random.default_rng(13).standard_normal((n, p)) + 2.0
+        X[:, 7] = 1.5
+        design, peak, held = traced_bytes(prepare_design, X)
+        extra = 8 * (16 * (n + p) + min(n, p) ** 2)
+        assert peak <= 8 * n * p + n * p + extra
+        assert held <= 8 * n * p + extra
+        assert design.X.shape == (n, p) and design.degenerate[7]
 
     def test_design_arrays_are_read_only(self):
         design = prepare_design(np.random.default_rng(11).standard_normal((10, 4)))
