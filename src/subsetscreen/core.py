@@ -12,18 +12,21 @@ dependent sets).  The gradient X'(y - X beta) and the objective are
 formed from one residual per iterate, which the drivers pass from step
 to step.
 
-While the plain iteration keeps its active set A, each step is the
-Richardson (OEM) iteration on X_A, so ``run`` crosses such a stretch in
-closed form: one eigendecomposition of X_A'X_A and one p x M block
-X'X_A per set, then one GEMM per block of future steps evaluates their
-candidates and cancellation-free objective decreases.  The jump stops
-before the first step whose set could differ, whose stop test could
-fire (both judged with a stated rounding allowance), or at the
-iteration cap, and the ordinary step takes over from there.  ``run``
-and the multi-start restarts share one refitting iteration, memoized by
-set: a run is the walk from the set its first step reaches, so the
-restarts walk each distinct first set once, and they take their first
-gradients from one product per chunk of stepwise prefixes.
+``run`` hands the iteration to one of two classes of one shape, each
+built from (problem, M, options) and iterated by its ``run(coef,
+residual)``.  ``_OssStep``, the plain iteration, crosses each stretch
+that keeps its active set A in closed form, where a step is the
+Richardson (OEM) iteration on X_A: one eigendecomposition of X_A'X_A
+and one p x M block X'X_A per set, then one GEMM per block of future
+steps evaluates their candidates and cancellation-free objective
+decreases.  The jump stops before the first step whose set could
+differ, whose stop test could fire (both judged with a stated rounding
+allowance), or at the iteration cap, and the ordinary step takes over
+from there.  ``_FossStep``, the refitting iteration, is memoized by
+set and shared with the multi-start restarts: a run is the walk from
+the set its first step reaches, so the restarts walk each distinct
+first set once, and they take their first gradients from one product
+per chunk of stepwise prefixes.
 
 The oracle scores every subset S by a Householder QR of [X_S, y], many
 subsets per LAPACK call (the last diagonal entry of R is the residual
@@ -219,20 +222,15 @@ def hard_threshold(x, M: int) -> np.ndarray:
 
 
 def _largest(magnitude: np.ndarray, M: int) -> np.ndarray:
-    """The mask ``hard_threshold`` keeps along the last axis of
-    ``magnitude`` (p entries, 1 <= M < p): every entry at or above the
-    M-th largest, less the last of those equal to it that overflow the
-    M places.  A 2-D ``magnitude`` is thresholded row by row."""
-    p = magnitude.shape[-1]
-    cut = np.partition(magnitude, p - M, axis=-1)[..., p - M : p - M + 1]
+    """The mask ``hard_threshold`` keeps of ``magnitude`` (p entries,
+    1 <= M < p): every entry at or above the M-th largest, less the last
+    of those equal to it that overflow the M places."""
+    p = magnitude.shape[0]
+    cut = np.partition(magnitude, p - M)[p - M]
     keep = magnitude >= cut
-    # Each row keeps at least M entries, so no row overflows when the
-    # total is M per row.
-    if np.count_nonzero(keep) > keep.size // p * M:
-        rows, magnitude, cut = keep.reshape(-1, p), magnitude.reshape(-1, p), cut.reshape(-1)
-        for i in np.flatnonzero(rows.sum(axis=1) > M):
-            extra = int(rows[i].sum()) - M
-            rows[i, np.flatnonzero(magnitude[i] == cut[i])[-extra:]] = False
+    extra = int(np.count_nonzero(keep)) - M
+    if extra > 0:
+        keep[np.flatnonzero(magnitude == cut)[-extra:]] = False
     return keep
 
 
@@ -308,57 +306,8 @@ def run(
     if M < 1:
         raise ValueError("M must be at least 1")
     coef = SparseCoef.from_dense(init.beta, M)
-    residual = _residual(problem, coef)
-    if opts.algorithm == "oss":
-        return _iterate(coef, residual, opts, _OssStep(problem, opts.rel_tol))
-    step = _FossStep(problem, M, opts)
-    return step.restart(coef, residual, step.first_set(coef, problem.X.T @ residual))
-
-
-def _iterate(coef, residual, opts, step) -> ScreeningResult:
-    """The loop of the plain variant of ``run``, over the step map ``step``.
-
-    ``step(coef, residual, budget)`` receives an iterate, its residual
-    y - X beta and the number of steps left.  It returns ``(coef,
-    residual, values)``: the iterate after ``len(values)`` steps (between
-    1 and ``budget``), its residual and the objective after each of those
-    steps.  Every value but the last belongs to a step already known to
-    keep its active set and not to meet the stop rule (a closed-form
-    jump), so only the last one is tested.
-    """
-    max_iter = opts.resolved_max_iter()
-    trace = []
-    best = None
-    best_rss = math.inf
-    prev = None
-    if coef.active.size <= coef.bound:
-        r0 = float(residual @ residual)
-        trace.append(r0)
-        prev = r0
-        best, best_rss = coef, r0
-
-    iterations = 0
-    termination = TERM_MAX_ITER
-    while iterations < max_iter:
-        coef, residual, values = step(coef, residual, max_iter - iterations)
-        trace.extend(values)
-        iterations += len(values)
-        cur = values[-1]
-        if len(values) > 1:
-            prev = values[-2]
-        if cur < best_rss:
-            best, best_rss = coef, cur
-        if prev is not None and _stops(prev, cur, opts.rel_tol):
-            termination = TERM_CONVERGED
-            break
-        prev = cur
-
-    return ScreeningResult(
-        coef=best,
-        rss_trace=np.asarray(trace),
-        iterations=iterations,
-        termination=termination,
-    )
+    step = (_OssStep if opts.algorithm == "oss" else _FossStep)(problem, M, opts)
+    return step.run(coef, _residual(problem, coef))
 
 
 # An oss jump starts with a block of this many steps and doubles it, up
@@ -373,50 +322,8 @@ JUMP_SLACK = 16.0
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class _SetSpectrum:
-    """What a closed-form oss jump on the active set A needs of X.
-
-    X_A'X_A = V diag(lam) V'; ``null`` marks the directions whose
-    eigenvalue is within rounding of 0 (a rank-deficient A), ``logq`` is
-    log(1 - lam/c) (0 on null directions), ``weight`` (2c - lam)/c^2,
-    ``outside`` the columns that compete with A for a place (not in A,
-    not degenerate) and ``cross`` X_outside'X_A V.
-    """
-
-    lam: np.ndarray
-    V: np.ndarray
-    null: np.ndarray
-    logq: np.ndarray
-    weight: np.ndarray
-    outside: np.ndarray
-    cross: np.ndarray
-
-    @classmethod
-    def of(cls, problem: StandardizedProblem, active: np.ndarray) -> "_SetSpectrum":
-        c = problem.c
-        block = problem.X.T @ problem.X[:, active]
-        gram = block[active]
-        lam, V = np.linalg.eigh(0.5 * (gram + gram.T))
-        null = lam <= JUMP_SLACK * active.size * _EPS * c
-        # c >= lambda_max(X'X) >= lam; the clip keeps log(1 - lam/c) finite.
-        lam = np.where(null, 0.0, np.minimum(lam, (1.0 - _EPS) * c))
-        outside = np.ones(problem.p, dtype=bool)
-        outside[active] = False
-        outside &= ~problem.degenerate
-        return cls(
-            lam=lam,
-            V=V,
-            null=null,
-            logq=np.log1p(-lam / c),
-            weight=(2.0 * c - lam) / (c * c),
-            outside=outside,
-            cross=block[outside] @ V,
-        )
-
-
 class _OssStep:
-    """The plain step of one ``run``, which jumps over settled stretches.
+    """The plain iteration on one problem, which jumps over settled stretches.
 
     While a step keeps its active set A, it is the Richardson (OEM)
     iteration beta_A <- beta_A + X_A'(y - X_A beta_A)/c, so with
@@ -460,46 +367,95 @@ class _OssStep:
     frozen directions that the ordinary steps would make.
     """
 
-    def __init__(self, problem: StandardizedProblem, rel_tol: float):
+    def __init__(self, problem: StandardizedProblem, M: int, opts: IterationOptions):
         self.problem = problem
-        self.rel_tol = rel_tol
+        self.M = M
+        self.rel_tol = opts.rel_tol
+        self.max_iter = opts.resolved_max_iter()
         self.key: tuple[int, ...] | None = None
-        self.spectrum: _SetSpectrum | None = None
+        self.spectrum: tuple | None = None
 
-    def __call__(self, coef, residual, budget):
-        problem = self.problem
-        gradient = problem.X.T @ residual
-        stepped = SparseCoef.from_dense(_thresholded(problem, coef, gradient), coef.bound)
-        if (
-            budget > 1
-            and stepped.active.size == coef.bound
-            and np.array_equal(stepped.active, coef.active)
-        ):
-            jumped = self._jump(coef, residual, gradient, budget)
-            if jumped is not None:
-                return jumped
-        r = _residual(problem, stepped)
-        return stepped, r, [float(r @ r)]
+    def run(self, coef: SparseCoef, residual) -> ScreeningResult:
+        """The run from ``coef`` (bound M), whose residual y - X beta is
+        ``residual``.
 
-    def _spectrum(self, active: np.ndarray) -> _SetSpectrum:
+        Each pass takes one ordinary step or, when that step keeps a full
+        active set, one jump over the steps that provably keep it too.
+        Every objective a jump reports but the last belongs to a step
+        known to keep its set and not to meet the stop rule, so only the
+        last one is tested.
+        """
+        problem, M = self.problem, self.M
+        trace = []
+        best, best_rss = None, math.inf
+        if coef.active.size <= M:
+            trace.append(float(residual @ residual))
+            best, best_rss = coef, trace[0]
+        start = len(trace)
+        termination = TERM_MAX_ITER
+        while len(trace) - start < self.max_iter:
+            budget = self.max_iter - (len(trace) - start)
+            gradient = problem.X.T @ residual
+            stepped = SparseCoef.from_dense(_thresholded(problem, coef, gradient), M)
+            keeps = stepped.active.size == M and np.array_equal(stepped.active, coef.active)
+            jumped = self._jump(coef, residual, gradient, budget) if keeps and budget > 1 else None
+            if jumped is None:
+                residual = _residual(problem, stepped)
+                jumped = stepped, residual, [float(residual @ residual)]
+            coef, residual, values = jumped
+            trace.extend(values)
+            if values[-1] < best_rss:
+                best, best_rss = coef, values[-1]
+            if len(trace) > 1 and _stops(trace[-2], trace[-1], self.rel_tol):
+                termination = TERM_CONVERGED
+                break
+        return ScreeningResult(best, np.asarray(trace), len(trace) - start, termination)
+
+    def _spectrum(self, active: np.ndarray) -> tuple:
+        """What a jump on the active set A needs of X, formed once per set
+        (the last one is kept): ``(lam, V, null, logq, weight, outside,
+        cross)``.
+
+        X_A'X_A = V diag(lam) V'; ``null`` marks the directions whose
+        eigenvalue is within rounding of 0 (a rank-deficient A), where
+        ``lam`` holds 1 (they move by 0 / 1); ``logq`` is log(1 - lam/c)
+        and ``weight`` (2c - lam)/c^2, both with lam = 0 on null
+        directions; ``outside`` marks the columns that compete with A for
+        a place (not in A, not degenerate) and ``cross`` is X_outside'X_A V.
+        """
         key = tuple(active.tolist())
         if key != self.key:
-            self.key, self.spectrum = key, _SetSpectrum.of(self.problem, active)
+            problem, c = self.problem, self.problem.c
+            block = problem.X.T @ problem.X[:, active]
+            gram = block[active]
+            lam, V = np.linalg.eigh(0.5 * (gram + gram.T))
+            null = lam <= JUMP_SLACK * active.size * _EPS * c
+            # c >= lambda_max(X'X) >= lam; the clip keeps log(1 - lam/c) finite.
+            lam = np.where(null, 0.0, np.minimum(lam, (1.0 - _EPS) * c))
+            outside = np.ones(problem.p, dtype=bool)
+            outside[active] = False
+            outside &= ~problem.degenerate
+            self.key = key
+            self.spectrum = (
+                np.where(null, 1.0, lam), V, null, np.log1p(-lam / c),
+                (2.0 * c - lam) / (c * c), outside, block[outside] @ V,
+            )
         return self.spectrum
 
     def _jump(self, coef, residual, gradient, budget):
-        """Steps 1..m from ``coef`` in closed form, or None when m < 2."""
+        """Steps 1..m from ``coef`` in closed form, as ``(coef, residual,
+        values)`` (the iterate after step m, its residual and the objective
+        after each step), or None when m < 2."""
         problem = self.problem
         n, c = problem.n, problem.c
         active = coef.active
         M = active.size
-        s = self._spectrum(active)
-        h = s.V.T @ gradient[active]
-        h_null = float(np.linalg.norm(h[s.null]))
-        h[s.null] = 0.0
-        lam = np.where(s.null, 1.0, s.lam)  # frozen directions move by 0 / 1
+        lam, V, null, logq, weight, outside, cross = self._spectrum(active)
+        h = V.T @ gradient[active]
+        h_null = float(np.linalg.norm(h[null]))
+        h[null] = 0.0
         beta0 = coef.beta[active]
-        outer = gradient[s.outside]
+        outer = gradient[outside]
         rss0 = float(residual @ residual)
         r0 = math.sqrt(rss0)
         a = float(np.linalg.norm(problem.y)) + math.sqrt(n) * float(np.abs(beta0).sum())
@@ -514,15 +470,15 @@ class _OssStep:
             k = np.arange(first, min(first + width, budget + 1), dtype=float)
             # Column j of shift is V'(beta_(first - 1 + j) - beta_0).
             steps = np.append(k - 1.0, k[-1])
-            shift = -np.expm1(np.multiply.outer(s.logq, steps)) / lam[:, None] * h[:, None]
-            beta = beta0[:, None] + s.V @ shift[:, 1:]  # beta_k on A
+            shift = -np.expm1(np.multiply.outer(logq, steps)) / lam[:, None] * h[:, None]
+            beta = beta0[:, None] + V @ shift[:, 1:]  # beta_k on A
             # The largest candidate outside A at step k, from beta_(k-1).
-            rival = s.cross @ shift[:, :-1]
+            rival = cross @ shift[:, :-1]
             np.subtract(outer[:, None], rival, out=rival)
             rival = np.abs(rival, out=rival).max(axis=0, initial=0.0) / c
             margin = np.abs(beta).min(axis=0) - rival
             tau = JUMP_SLACK * ((k + 1.0) * M * e_cand + k * h_null / c)
-            d = s.weight @ (np.exp(np.multiply.outer(s.logq, k - 1.0)) * h[:, None]) ** 2
+            d = weight @ (np.exp(np.multiply.outer(logq, k - 1.0)) * h[:, None]) ** 2
             prior = before - np.concatenate(([0.0], np.cumsum(d[:-1])))
             test = d - self.rel_tol * np.where(prior > 0.0, prior, 1.0)
             rho = JUMP_SLACK * (
@@ -542,9 +498,9 @@ class _OssStep:
         if m < 2:
             return None
 
-        step = -np.expm1(m * s.logq) / lam * h
+        step = -np.expm1(m * logq) / lam * h
         beta = np.zeros(problem.p)
-        beta[active] = beta0 + s.V @ step
+        beta[active] = beta0 + V @ step
         jumped = SparseCoef.from_dense(beta, coef.bound)
         r = _residual(problem, jumped)
         final = float(r @ r)
@@ -579,6 +535,10 @@ class _FossStep:
     def first_set(self, coef: SparseCoef, gradient) -> tuple[int, ...]:
         """The set one step from ``coef`` thresholds to, given its X'r."""
         return tuple(np.flatnonzero(_thresholded(self.problem, coef, gradient)).tolist())
+
+    def run(self, init: SparseCoef, residual) -> ScreeningResult:
+        """The run from ``init`` (bound M), whose residual is ``residual``."""
+        return self.restart(init, residual, self.first_set(init, self.problem.X.T @ residual))
 
     def restart(self, init: SparseCoef, residual, first) -> ScreeningResult:
         """The run from ``init`` (residual ``residual``, bound M) whose

@@ -75,13 +75,14 @@ AGGREGATE_FIELDS = ("method", "cr", "ao", "mean_iterations", "repetitions", "exc
 EXCLUSION_FIELDS = ("rep", "reason")
 
 # Repetitions on a fixed design are evaluated in blocks of this many,
-# whose stepwise sweeps run in lockstep (two GEMMs per step in place of
-# two GEMVs per repetition).  A block holds each repetition's q'X and X'r
-# rows (262 KB each at 96 x 528 with 62 steps), so the width trades time
-# for peak memory: on a 2-core machine a width of 4 added 1.6 MB to the
-# peak RSS of a 20-repetition simulate, and 8 added 4 MB.  With the BLAS
-# thread variables unset, OpenBLAS keeps a 528 x 96 GEMM on one thread up
-# to width 16 and wakes a second thread from width 20 on.
+# whose stepwise sweeps run in lockstep (one GEMM per step where each
+# repetition made one GEMV).  With the BLAS thread variables unset,
+# OpenBLAS keeps a 528 x 96 GEMM on one thread up to width 16 and wakes a
+# second thread from width 20 on, so the width stays at or below 16.  It
+# is 4 because it was sized when a block held each repetition's q'X and
+# X'r rows (262 KB each at 96 x 528 with 62 steps): on a 2-core machine
+# they added 1.6 MB to the peak RSS of a 20-repetition simulate at width
+# 4, and 4.1 MB at width 8.  The sweep no longer keeps those rows.
 SWEEP_BLOCK = 4
 
 

@@ -63,8 +63,8 @@ class FsPath:
     ``order`` lists the columns in the order the sweep added them, and
     row ``size - 1`` of ``coefs`` holds the least-squares coefficients
     of the size-``size`` prefix on ``order[:size]`` (0 after them).
-    ``truncated`` is set when the rank budget ran out before reaching
-    ``max_size``; ``p`` is the number of columns of the problem.  The
+    ``truncated`` is set when the rank budget ran out before the sweep
+    reached the size it was asked for; ``p`` is the number of columns of the problem.  The
     prefixes of sizes 1..``factored`` are solved from the sweep's own
     factor; the near-dependent ones after them are refit by the
     minimum-norm solver.  No array holds a row of p entries per prefix.
@@ -72,7 +72,6 @@ class FsPath:
 
     order: np.ndarray
     coefs: np.ndarray
-    max_size: int
     truncated: bool
     p: int
     factored: int
@@ -210,12 +209,12 @@ def forward_stepwise_paths(problems, max_size: int) -> tuple[FsPath, ...]:
     Y = np.column_stack([problem.y for problem in problems])
     factors = _greedy_factor(X, Y, max_size)
     return tuple(
-        _path(problem, max_size, order, R, qty, truncated)
+        _path(problem, order, R, qty, truncated)
         for problem, (order, _, R, qty, truncated) in zip(problems, factors)
     )
 
 
-def _path(problem: StandardizedProblem, max_size, order, R, qty, truncated) -> FsPath:
+def _path(problem: StandardizedProblem, order, R, qty, truncated) -> FsPath:
     """The prefixes of one sweep's factor X[:, order] = Q R, qty = Q'y."""
     size = order.size
     # Every column has norm sqrt(n) and residualizing only shrinks it,
@@ -235,10 +234,7 @@ def _path(problem: StandardizedProblem, max_size, order, R, qty, truncated) -> F
         by_index = np.argsort(order[: k + 1])
         active = order[: k + 1][by_index]
         coefs[k, by_index] = min_norm_least_squares(problem.X[:, active], problem.y)
-    return FsPath(
-        order=order, coefs=coefs, max_size=max_size, truncated=truncated, p=problem.p,
-        factored=usable,
-    )
+    return FsPath(order=order, coefs=coefs, truncated=truncated, p=problem.p, factored=usable)
 
 
 def _greedy_factor(X: np.ndarray, Y: np.ndarray, max_size: int):

@@ -163,8 +163,9 @@ def prepare_design(X_raw) -> PreparedDesign:
     Raises
     ------
     ValueError
-        When X is not 2-D, has fewer than two rows or no column, or holds
-        a non-finite entry.
+        When X is not 2-D, has fewer than two rows or no column, holds
+        a non-finite entry, or has a column whose mean or centered sum of
+        squares overflows (named by its 1-based index).
     """
     X_raw = np.asarray(X_raw, dtype=float)
     if X_raw.ndim != 2:
@@ -177,9 +178,16 @@ def prepare_design(X_raw) -> PreparedDesign:
     if not np.all(np.isfinite(X_raw)):
         raise ValueError("X contains non-finite entries")
 
-    col_means = X_raw.mean(axis=0)
-    Xc = X_raw - col_means
-    col_sd = np.sqrt(np.einsum("ij,ij->j", Xc, Xc) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_means = X_raw.mean(axis=0)
+        Xc = X_raw - col_means
+        col_sd = np.sqrt(np.einsum("ij,ij->j", Xc, Xc) / n)
+    overflowed = np.flatnonzero(~np.isfinite(col_sd))
+    if overflowed.size:
+        raise ValueError(
+            f"column {overflowed[0] + 1} of X overflows when standardized: "
+            "its mean or sum of squares is not finite"
+        )
     degenerate = col_sd <= 1e-12 * np.maximum(1.0, np.abs(col_means))
     col_scales = np.where(degenerate, 1.0, col_sd)
     X = Xc
@@ -214,8 +222,8 @@ def bind(design: PreparedDesign, y_raw) -> StandardizedProblem:
     Raises
     ------
     ValueError
-        When y does not have one entry per row of X, or holds a
-        non-finite entry.
+        When y does not have one entry per row of X, holds a non-finite
+        entry, or has a centered mean or sum of squares that overflows.
     """
     y_raw = np.asarray(y_raw, dtype=float).reshape(-1)
     if y_raw.shape[0] != design.n:
@@ -224,8 +232,12 @@ def bind(design: PreparedDesign, y_raw) -> StandardizedProblem:
         )
     if not np.all(np.isfinite(y_raw)):
         raise ValueError("y contains non-finite entries")
-    y_mean = float(y_raw.mean())
-    y = y_raw - y_mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_mean = float(y_raw.mean())
+        y = y_raw - y_mean
+        sum_sq = float(y @ y)
+    if not math.isfinite(sum_sq):
+        raise ValueError("y overflows when centered: its mean or sum of squares is not finite")
     return StandardizedProblem(
         X=design.X,
         y=y,

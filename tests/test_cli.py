@@ -1,6 +1,8 @@
 import ast
+import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -291,6 +293,33 @@ class TestScreen:
         x_path, y_path = write_xy(tmp_path, X, X[:, 0])
         assert main(["screen", x_path, y_path, "--method", "lar"]) == 2
 
+    @pytest.mark.parametrize("command", ["screen", "oracle"])
+    @pytest.mark.parametrize("case", ["mean", "sum of squares", "response"])
+    def test_overflowing_standardization_exits_2_without_output(
+        self, tmp_path, capsys, command, case
+    ):
+        rng = np.random.default_rng(74)
+        X = rng.standard_normal((12, 4))
+        y = X[:, 0] + rng.standard_normal(12)
+        if case == "mean":
+            X[:, 1] = 1e308
+        elif case == "sum of squares":
+            X[:, 1] *= 1e200
+        else:
+            y *= 1e200
+        x_path, y_path = write_xy(tmp_path, X, y)
+        out = tmp_path / "result.json"
+        argv = [command, x_path, y_path, "-M", "2", "--out", str(out)]
+        if command == "screen":
+            argv += ["--method", "oss-sis"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert ("y overflows" if case == "response" else "column 2 of X overflows") in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_rel_tol_exits_2_without_output(self, tmp_path, capsys, value):
         rng = np.random.default_rng(73)
@@ -524,7 +553,6 @@ class TestSimulate:
         assert "'sigma'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_every_repetition_excluded_exits_2_without_output(self, tmp_path, capsys):
         # every response overflows, so every repetition is excluded
         config = self.base_config(tmp_path, beta_value=1e308)
@@ -542,6 +570,23 @@ class TestSimulate:
             assert main(["simulate", config, "--out", str(out)]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "X @ beta overflowed; beta_value=1e+308" in capsys.readouterr().err
+
+    def test_repetition_whose_response_overflows_is_excluded(self, tmp_path):
+        # At this beta_value the signal is finite in every repetition, but
+        # the response's sum of squares overflows in repetitions 1 and 4.
+        config = self.base_config(tmp_path, beta_value=1.7e153, repetitions=6)
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", config, "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        reason = "ValueError: y overflows when centered: its mean or sum of squares is not finite"
+        lines = (out / "exclusions.csv").read_text().splitlines()
+        assert lines == ["rep,reason", f"1,{reason}", f"4,{reason}"]
+        with open(out / "repetitions.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        assert {int(row["rep"]) for row in rows} == {0, 2, 3, 5}
+        assert all(math.isfinite(float(row["rss"])) for row in rows)
 
     def kronecker_config(self, tmp_path, base_rows):
         base = tmp_path / "base.csv"

@@ -330,15 +330,16 @@ class TestDrivers:
                 trace = res.rss_trace
                 assert np.all(trace[1:] <= trace[:-1] * (1 + 1e-9))
 
-    def test_infeasible_start_excluded_from_trace(self):
+    @pytest.mark.parametrize("algorithm", ["foss", "oss"])
+    def test_infeasible_start_excluded_from_trace(self, algorithm):
         prob = random_problem(23, n=30, p=10, d=3)
         dense = SparseCoef.from_dense(np.ones(10), 2)
-        res = run(prob, dense, 2, IterationOptions("foss"))
+        res = run(prob, dense, 2, IterationOptions(algorithm))
         # one trace entry per produced iterate; the over-budget start is
         # not recorded (its objective is not comparable to thresholded ones)
         assert len(res.rss_trace) == res.iterations
         feasible = SparseCoef.zeros(10, 2)
-        res_feasible = run(prob, feasible, 2, IterationOptions("foss"))
+        res_feasible = run(prob, feasible, 2, IterationOptions(algorithm))
         assert len(res_feasible.rss_trace) == res_feasible.iterations + 1
 
     def test_bitwise_determinism(self):
@@ -1018,6 +1019,19 @@ class TestOssJumpMatchesStepByStep:
         assert got.termination == TERM_CONVERGED and got.iterations == stop + 1
         assert spans and not any(first <= stop <= last for first, last in spans)
         assert any(last == stop - 1 for _, last in spans)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 300])
+    @pytest.mark.parametrize("case", sorted(MULTI_START_CASES))
+    def test_multi_start_cases(self, case, max_iter):
+        # From zero, from sis and from the largest stepwise prefix, which
+        # is above the budget; 300 is the benchmark's iteration cap.
+        prob, M = MULTI_START_CASES[case]()
+        path = forward_stepwise(prob, multi_start_window(prob.n, prob.p, M)[1])
+        largest = path.coef_at(path.order.size)
+        assert largest.active.size > M
+        opts = IterationOptions("oss", max_iter=max_iter)
+        for init in (SparseCoef.zeros(prob.p, M), sis(prob, M), largest):
+            _assert_matches_step_by_step(prob, init, M, opts)
 
     def test_exact_tie_at_the_cut_on_a_kronecker_design(self, monkeypatch):
         # From zero, the iteration keeps one set for steps 2-55; at step

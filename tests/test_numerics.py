@@ -333,6 +333,27 @@ class TestPrepareAndBind:
         with pytest.raises(ValueError, match="non-finite"):
             bind(design, np.array([1.0, 2.0, np.nan, 0.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "column, case",
+        [(np.full(8, 1e308), "mean"), (1e200 * np.arange(8.0), "sum of squares")],
+    )
+    def test_a_column_that_overflows_is_named(self, column, case):
+        # A finite column whose mean or centered sum of squares overflows
+        # would be flagged constant (mean) or zeroed unflagged (sum of
+        # squares); it is rejected instead, with no RuntimeWarning.
+        X = np.random.default_rng(14).standard_normal((8, 4))
+        X[:, 2] = column
+        with pytest.raises(ValueError, match="column 3 of X overflows"):
+            prepare_design(X)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_a_response_that_overflows_is_rejected(self, scale):
+        rng = np.random.default_rng(15)
+        design = prepare_design(rng.standard_normal((8, 3)))
+        y = scale * np.where(np.arange(8) % 2, 1.0, 0.5)
+        with pytest.raises(ValueError, match="y overflows"):
+            bind(design, y)
+
 
 class TestMinNormLeastSquares:
     def test_identity(self):
