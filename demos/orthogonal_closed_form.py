@@ -29,7 +29,7 @@ prob = standardize(X, y)
 print(f"design: {n} x {p}, column Gram matrix is n*I "
       f"(max off-diagonal {np.abs(prob.X.T @ prob.X - n * np.eye(p)).max():.1e})")
 
-one_step = oss_step(prob, SparseCoef.zeros(p, M))
+one_step = oss_step(prob, SparseCoef.zeros(p), M)
 print(f"one thresholded step from zero selects {one_step.active.tolist()}")
 print(f"  objective: {rss(prob, one_step):.6f}")
 

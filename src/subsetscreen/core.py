@@ -104,27 +104,22 @@ class SparseCoef:
     """Dense coefficient vector with its nonzero index set.
 
     ``active`` always equals the ascending indices of the nonzero entries
-    of ``beta``; ``bound`` is the sparsity budget the thresholded maps
-    enforce on their output (the stored vector itself may exceed it, e.g.
-    a dense initial point).
+    of ``beta``.  It carries no sparsity budget: the thresholded maps and
+    drivers take M as an argument, and a stored vector may have more
+    nonzeros than that (a dense initial point, say).
     """
 
     beta: np.ndarray
     active: np.ndarray
-    bound: int
 
     @classmethod
-    def from_dense(cls, beta, bound: int) -> "SparseCoef":
+    def from_dense(cls, beta) -> "SparseCoef":
         beta = np.asarray(beta, dtype=float)
-        return cls(beta=beta, active=beta.nonzero()[0], bound=int(bound))
+        return cls(beta=beta, active=beta.nonzero()[0])
 
     @classmethod
-    def zeros(cls, p: int, bound: int) -> "SparseCoef":
-        return cls.from_dense(np.zeros(p), bound)
-
-    @property
-    def p(self) -> int:
-        return self.beta.shape[0]
+    def zeros(cls, p: int) -> "SparseCoef":
+        return cls.from_dense(np.zeros(p))
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,7 @@ def hard_threshold(x, M: int) -> np.ndarray:
 
 def _largest(magnitude: np.ndarray, M: int) -> np.ndarray:
     """The mask ``hard_threshold`` keeps of ``magnitude`` (p entries,
-    1 <= M < p): every entry at or above the M-th largest, less the last
+    1 <= M <= p): every entry at or above the M-th largest, less the last
     of those equal to it that overflow the M places."""
     p = magnitude.shape[0]
     cut = np.partition(magnitude, p - M)[p - M]
@@ -239,7 +234,7 @@ def _gradient(problem: StandardizedProblem, coef: SparseCoef) -> np.ndarray:
     return problem.X.T @ _residual(problem, coef)
 
 
-def _thresholded(problem: StandardizedProblem, coef: SparseCoef, gradient) -> np.ndarray:
+def _thresholded(problem: StandardizedProblem, coef: SparseCoef, gradient, M: int) -> np.ndarray:
     """S_M(beta + X'(y - X beta)/c), given the gradient X'(y - X beta).
 
     Flagged zero-variance coordinates are cleared first, so they can
@@ -248,10 +243,10 @@ def _thresholded(problem: StandardizedProblem, coef: SparseCoef, gradient) -> np
     v = coef.beta + gradient / problem.c
     if problem.degenerate.any():
         v[problem.degenerate] = 0.0
-    return hard_threshold(v, coef.bound)
+    return hard_threshold(v, M)
 
 
-def oss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
+def oss_step(problem: StandardizedProblem, coef: SparseCoef, M: int) -> SparseCoef:
     """One thresholded gradient-correction step.
 
     Computes S_M(X'y/c + (I - X'X/c) beta) where S_M keeps the M largest
@@ -259,32 +254,30 @@ def oss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
     never increases.  Inputs with more than M nonzeros are allowed; the
     step thresholds them down.
     """
-    stepped = _thresholded(problem, coef, _gradient(problem, coef))
-    return SparseCoef.from_dense(stepped, coef.bound)
+    return SparseCoef.from_dense(_thresholded(problem, coef, _gradient(problem, coef), M))
 
 
-def foss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
+def foss_step(problem: StandardizedProblem, coef: SparseCoef, M: int) -> SparseCoef:
     """Thresholded gradient step followed by a least-squares refit.
 
     The refit on the thresholded active set gives an objective no larger
     than the plain step's, which in turn is no larger than the input's.
     """
-    stepped = _thresholded(problem, coef, _gradient(problem, coef))
-    return refit_subset(problem, np.flatnonzero(stepped), coef.bound)
+    stepped = _thresholded(problem, coef, _gradient(problem, coef), M)
+    return refit_subset(problem, np.flatnonzero(stepped))
 
 
-def refit_subset(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
+def refit_subset(problem: StandardizedProblem, active) -> SparseCoef:
     """Least-squares fit on the given columns, zeros elsewhere.
 
     The values are ``min_norm_least_squares`` of y on the columns, so
-    rank-deficient and near-dependent sets keep minimum-norm semantics;
-    ``bound`` is only the sparsity budget stored with the result.
+    rank-deficient and near-dependent sets keep minimum-norm semantics.
     """
     active = np.asarray(active, dtype=int)
     beta = np.zeros(problem.p)
     if active.size:
         beta[active] = min_norm_least_squares(problem.X[:, active], problem.y)
-    return SparseCoef.from_dense(beta, bound)
+    return SparseCoef.from_dense(beta)
 
 
 def run(
@@ -305,9 +298,8 @@ def run(
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    coef = SparseCoef.from_dense(init.beta, M)
     step = (_OssStep if opts.algorithm == "oss" else _FossStep)(problem, M, opts)
-    return step.run(coef, _residual(problem, coef))
+    return step.run(init, _residual(problem, init))
 
 
 # An oss jump starts with a block of this many steps and doubles it, up
@@ -376,8 +368,7 @@ class _OssStep:
         self.spectrum: tuple | None = None
 
     def run(self, coef: SparseCoef, residual) -> ScreeningResult:
-        """The run from ``coef`` (bound M), whose residual y - X beta is
-        ``residual``.
+        """The run from ``coef``, whose residual y - X beta is ``residual``.
 
         Each pass takes one ordinary step or, when that step keeps a full
         active set, one jump over the steps that provably keep it too.
@@ -396,7 +387,7 @@ class _OssStep:
         while len(trace) - start < self.max_iter:
             budget = self.max_iter - (len(trace) - start)
             gradient = problem.X.T @ residual
-            stepped = SparseCoef.from_dense(_thresholded(problem, coef, gradient), M)
+            stepped = SparseCoef.from_dense(_thresholded(problem, coef, gradient, M))
             keeps = stepped.active.size == M and np.array_equal(stepped.active, coef.active)
             jumped = self._jump(coef, residual, gradient, budget) if keeps and budget > 1 else None
             if jumped is None:
@@ -501,7 +492,7 @@ class _OssStep:
         step = -np.expm1(m * logq) / lam * h
         beta = np.zeros(problem.p)
         beta[active] = beta0 + V @ step
-        jumped = SparseCoef.from_dense(beta, coef.bound)
+        jumped = SparseCoef.from_dense(beta)
         r = _residual(problem, jumped)
         final = float(r @ r)
         d = np.concatenate(decreases)
@@ -534,15 +525,15 @@ class _FossStep:
 
     def first_set(self, coef: SparseCoef, gradient) -> tuple[int, ...]:
         """The set one step from ``coef`` thresholds to, given its X'r."""
-        return tuple(np.flatnonzero(_thresholded(self.problem, coef, gradient)).tolist())
+        return tuple(np.flatnonzero(_thresholded(self.problem, coef, gradient, self.M)).tolist())
 
     def run(self, init: SparseCoef, residual) -> ScreeningResult:
-        """The run from ``init`` (bound M), whose residual is ``residual``."""
+        """The run from ``init``, whose residual is ``residual``."""
         return self.restart(init, residual, self.first_set(init, self.problem.X.T @ residual))
 
     def restart(self, init: SparseCoef, residual, first) -> ScreeningResult:
-        """The run from ``init`` (residual ``residual``, bound M) whose
-        first step thresholds to ``first``.
+        """The run from ``init`` (residual ``residual``) whose first step
+        thresholds to ``first``.
 
         That run is the walk from ``first`` (the same object for every
         such ``init`` beyond the budget, whose residual is not read and
@@ -607,7 +598,7 @@ class _FossStep:
     def _refit(self, target):
         hit = self.refits.get(target)
         if hit is None:
-            refit = refit_subset(self.problem, target, self.M)
+            refit = refit_subset(self.problem, target)
             r = _residual(self.problem, refit)
             hit = self.refits[target] = (refit, r, float(r @ r))
         return hit
@@ -642,7 +633,8 @@ def multi_start_foss_fs(
 
     Runs the refitting iteration from the least-squares estimator of
     every forward-stepwise prefix whose size falls in the restart window
-    (clipped to the sizes the path actually reached).  The coefficients
+    (clipped to the sizes the path actually reached; an empty path
+    restarts from the zero vector alone).  The coefficients
     and objective trace returned are those of the run with the smallest
     final objective; exact ties go to the lexicographically smaller
     active set.  ``iterations`` and ``termination`` are those of the run
@@ -671,8 +663,8 @@ def multi_start_foss_fs(
     lo, hi = multi_start_window(problem.n, problem.p, M)
     hi = min(hi, fs_path.order.size)
     lo = min(lo, hi)
-    if hi < 1:
-        raise ValueError("stepwise path is empty")
+    if hi < 1:  # every column constant: the one start is the empty prefix
+        return run(problem, fs_path.coef_at(0), M, opts)
     step = _FossStep(problem, M, opts)
     best = None
     best_key = None
@@ -684,7 +676,7 @@ def multi_start_foss_fs(
         if row == 0:
             betas = fs_path.dense_coefs(size, min(size + FIRST_SET_ROWS - 1, hi))
             firsts = _first_sets(problem, fs_path, size, betas, M)
-        coef = SparseCoef.from_dense(betas[row], M)
+        coef = SparseCoef.from_dense(betas[row])
         first = firsts[row]
         # Beyond the budget the run is its first set's walk: no residual.
         residual = None
@@ -773,9 +765,7 @@ def _prefix_gradients(problem: StandardizedProblem, fs_path, lo: int, B):
     return G, (n + cols.size + 1) * np.finfo(float).eps * math.sqrt(n) * a
 
 
-def exhaustive_best_subset(
-    problem: StandardizedProblem, M: int, cap: int = ENUMERATION_CAP
-) -> ScreeningResult:
+def exhaustive_best_subset(problem: StandardizedProblem, M: int) -> ScreeningResult:
     """Globally optimal size-M subset by full enumeration.
 
     The result is the subset whose minimum-norm least-squares refit (so
@@ -808,15 +798,15 @@ def exhaustive_best_subset(
     n - 1 dimensions) has a negligible pivot and is refit.
 
     Raises ValueError when M is outside [0, p], and EnumerationCapError
-    when the number of subsets exceeds ``cap``.
+    when the number of subsets exceeds ``ENUMERATION_CAP``.
     """
     p = problem.p
     if not 0 <= M <= p:
         raise ValueError(f"M = {M} is outside [0, p] with p = {p}")
     total = math.comb(p, M)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"C({p}, {M}) = {total} subsets exceed the enumeration cap {cap}"
+            f"C({p}, {M}) = {total} subsets exceed the enumeration cap {ENUMERATION_CAP}"
         )
     X, y = problem.X, problem.y
     if y.any():
@@ -837,7 +827,7 @@ def exhaustive_best_subset(
     beta = np.zeros(p)
     beta[best_subset] = best_vals
     return ScreeningResult(
-        coef=SparseCoef.from_dense(beta, M),
+        coef=SparseCoef.from_dense(beta),
         rss_trace=np.asarray([best_rss]),
         iterations=0,
         termination=TERM_CONVERGED,

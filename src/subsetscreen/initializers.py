@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SparseCoef, refit_subset
+from .core import SparseCoef, _largest, refit_subset
 from .numerics import FACTOR_SOLVE_RTOL, StandardizedProblem, min_norm_least_squares
 
 __all__ = ["FsStep", "FsPath", "sis", "isis", "forward_stepwise", "forward_stepwise_paths"]
@@ -63,8 +63,9 @@ class FsPath:
     ``order`` lists the columns in the order the sweep added them, and
     row ``size - 1`` of ``coefs`` holds the least-squares coefficients
     of the size-``size`` prefix on ``order[:size]`` (0 after them).
-    ``truncated`` is set when the rank budget ran out before the sweep
-    reached the size it was asked for; ``p`` is the number of columns of the problem.  The
+    ``order`` is shorter than the size the sweep was asked for when the
+    candidates ran out of numerical rank first (empty when every column
+    is constant); ``p`` is the number of columns of the problem.  The
     prefixes of sizes 1..``factored`` are solved from the sweep's own
     factor; the near-dependent ones after them are refit by the
     minimum-norm solver.  No array holds a row of p entries per prefix.
@@ -72,7 +73,6 @@ class FsPath:
 
     order: np.ndarray
     coefs: np.ndarray
-    truncated: bool
     p: int
     factored: int
 
@@ -92,8 +92,11 @@ class FsPath:
         return tuple(steps)
 
     def coef_at(self, size: int) -> SparseCoef:
-        """Least-squares estimator of the size-``size`` prefix."""
-        return SparseCoef.from_dense(self.dense_coefs(size, size)[0], size)
+        """Least-squares estimator of the size-``size`` prefix (the zero
+        vector at size 0)."""
+        if size == 0:
+            return SparseCoef.zeros(self.p)
+        return SparseCoef.from_dense(self.dense_coefs(size, size)[0])
 
     def dense_coefs(self, lo: int, hi: int) -> np.ndarray:
         """The coefficient vectors of the prefixes of sizes lo..hi, one
@@ -127,7 +130,7 @@ def isis(problem: StandardizedProblem, M: int, batch: int | None = None) -> Spar
         raise ValueError("batch must be in [1, M]")
 
     active = np.zeros(0, dtype=int)
-    coef = SparseCoef.zeros(problem.p, M)
+    coef = SparseCoef.zeros(problem.p)
     gains = problem.xty  # X'r for the first residual, r = y
     while active.size < M:
         if active.size:
@@ -139,9 +142,10 @@ def isis(problem: StandardizedProblem, M: int, batch: int | None = None) -> Spar
         take = min(batch, M - active.size, eligible)
         if take == 0:
             break
-        order = np.argsort(-scores, kind="stable")
-        active = np.sort(np.concatenate([active, order[:take]]))
-        coef = refit_subset(problem, active, M)
+        keep = _largest(scores, take)
+        keep[active] = True
+        active = np.flatnonzero(keep)
+        coef = refit_subset(problem, active)
     return coef
 
 
@@ -159,8 +163,8 @@ def forward_stepwise(problem: StandardizedProblem, max_size: int) -> FsPath:
     formed afresh whenever its downdated values, within their rounding
     bound, do not decide the step (a near-tie among the scores).  If the
     candidates run out of numerical rank before ``max_size`` the path
-    truncates and is flagged.  Beyond the design, the sweep holds O(n k
-    + p) numbers for a path of k steps.
+    stops there, shorter than ``max_size``.  Beyond the design, the sweep
+    holds O(n k + p) numbers for a path of k steps.
 
     Every prefix is recorded with its least-squares refit.  The sweep
     builds a QR factorization of the selected columns in selection
@@ -209,12 +213,11 @@ def forward_stepwise_paths(problems, max_size: int) -> tuple[FsPath, ...]:
     Y = np.column_stack([problem.y for problem in problems])
     factors = _greedy_factor(X, Y, max_size)
     return tuple(
-        _path(problem, order, R, qty, truncated)
-        for problem, (order, _, R, qty, truncated) in zip(problems, factors)
+        _path(problem, order, R, qty) for problem, (order, _, R, qty) in zip(problems, factors)
     )
 
 
-def _path(problem: StandardizedProblem, order, R, qty, truncated) -> FsPath:
+def _path(problem: StandardizedProblem, order, R, qty) -> FsPath:
     """The prefixes of one sweep's factor X[:, order] = Q R, qty = Q'y."""
     size = order.size
     # Every column has norm sqrt(n) and residualizing only shrinks it,
@@ -234,18 +237,18 @@ def _path(problem: StandardizedProblem, order, R, qty, truncated) -> FsPath:
         by_index = np.argsort(order[: k + 1])
         active = order[: k + 1][by_index]
         coefs[k, by_index] = min_norm_least_squares(problem.X[:, active], problem.y)
-    return FsPath(order=order, coefs=coefs, truncated=truncated, p=problem.p, factored=usable)
+    return FsPath(order=order, coefs=coefs, p=problem.p, factored=usable)
 
 
 def _greedy_factor(X: np.ndarray, Y: np.ndarray, max_size: int):
     """The greedy column order and the QR factor of the chosen columns,
     for each column y of the n x b response block ``Y`` on the design X.
 
-    Returns, per column of Y, ``(order, Q, R, qty, truncated)`` with
-    X[:, order] = Q R, Q orthonormal (n x k), R upper-triangular (k x k)
-    and qty = Q'y, where k = len(order) is ``max_size`` unless that sweep
-    truncated.  The b sweeps take their steps together; a sweep that
-    truncates leaves the block.
+    Returns, per column of Y, ``(order, Q, R, qty)`` with X[:, order] =
+    Q R, Q orthonormal (n x k), R upper-triangular (k x k) and qty = Q'y,
+    where k = len(order) is ``max_size`` unless that sweep ran out of
+    candidates outside the selected span first.  The b sweeps take their
+    steps together; a sweep that runs out leaves the block.
 
     Each step forms one product with X, the new basis rows w = q'X,
     which downdate both the squared norms and the scores:
@@ -276,15 +279,15 @@ def _greedy_factor(X: np.ndarray, Y: np.ndarray, max_size: int):
     err = np.full(b, np.inf)
     factors = [None] * b
 
-    def finish(rows, k, truncated):
+    def finish(rows, k):
         for i in rows:
-            factors[live[i]] = (order[i, :k], Q[i, :, :k], R[i, :k, :k], qty[i, :k], truncated)
+            factors[live[i]] = (order[i, :k], Q[i, :, :k], R[i, :k, :k], qty[i, :k])
 
     rows = np.arange(b)
     for k in range(max_size):
         kept = candidate.any(axis=1)
         if not kept.all():
-            finish(np.flatnonzero(~kept), k, True)
+            finish(np.flatnonzero(~kept), k)
             if not kept.any():
                 return factors
             live = [i for i, keep in zip(live, kept) if keep]
@@ -341,7 +344,7 @@ def _greedy_factor(X: np.ndarray, Y: np.ndarray, max_size: int):
                 norms2[i, block] = np.einsum("ij,ij->j", E, E)
             candidate[i, cols] = norms2[i, cols] > thresh
 
-    finish(range(len(live)), max_size, False)
+    finish(range(len(live)), max_size)
     return factors
 
 

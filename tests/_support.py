@@ -91,16 +91,16 @@ def reference_hard_threshold(x, M):
     return out
 
 
-def reference_oss_step(problem: StandardizedProblem, coef: SparseCoef) -> SparseCoef:
+def reference_oss_step(problem: StandardizedProblem, coef: SparseCoef, M: int) -> SparseCoef:
     """The thresholded step with a stable-argsort threshold, the
     reference of the partition threshold in ``oss_step``."""
     r = problem.y - problem.X[:, coef.active] @ coef.beta[coef.active]
     v = coef.beta + (problem.X.T @ r) / problem.c
     v[problem.degenerate] = 0.0
-    return SparseCoef.from_dense(reference_hard_threshold(v, coef.bound), coef.bound)
+    return SparseCoef.from_dense(reference_hard_threshold(v, M))
 
 
-def reference_refit(problem: StandardizedProblem, active, bound: int) -> SparseCoef:
+def reference_refit(problem: StandardizedProblem, active) -> SparseCoef:
     """Least-squares refit on ``active`` by a complete orthogonal
     factorization (LAPACK xGELSY: pivoted QR, then RZ), a solver
     independent of the SVD solve in ``refit_subset``."""
@@ -110,7 +110,7 @@ def reference_refit(problem: StandardizedProblem, active, bound: int) -> SparseC
         beta[active] = scipy.linalg.lstsq(
             problem.X[:, active], problem.y, cond=RANK_RTOL, lapack_driver="gelsy"
         )[0]
-    return SparseCoef.from_dense(beta, bound)
+    return SparseCoef.from_dense(beta)
 
 
 def exact_rss(problem: StandardizedProblem, coef: SparseCoef) -> Fraction:
@@ -165,9 +165,7 @@ def unique_solution_problem(seed, n=40, M=3, sigma=0.2):
     return standardize(X, y), M
 
 
-def plain_best_subset(
-    problem: StandardizedProblem, M: int, cap: int = ENUMERATION_CAP
-) -> ScreeningResult:
+def plain_best_subset(problem: StandardizedProblem, M: int) -> ScreeningResult:
     """Globally optimal size-M subset by full enumeration.
 
     The plain enumerator that ``exhaustive_best_subset`` replaced, kept
@@ -177,15 +175,15 @@ def plain_best_subset(
     lexicographically smallest subset.
 
     Raises ValueError when M is outside [0, p], and EnumerationCapError
-    when the number of subsets exceeds ``cap``.
+    when the number of subsets exceeds ``ENUMERATION_CAP``.
     """
     p = problem.p
     if not 0 <= M <= p:
         raise ValueError(f"M = {M} is outside [0, p] with p = {p}")
     total = math.comb(p, M)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"C({p}, {M}) = {total} subsets exceed the enumeration cap {cap}"
+            f"C({p}, {M}) = {total} subsets exceed the enumeration cap {ENUMERATION_CAP}"
         )
     y = problem.y
     best_rss = math.inf
@@ -203,7 +201,7 @@ def plain_best_subset(
     if best_subset:
         beta[list(best_subset)] = best_vals
     return ScreeningResult(
-        coef=SparseCoef.from_dense(beta, M),
+        coef=SparseCoef.from_dense(beta),
         rss_trace=np.asarray([best_rss]),
         iterations=0,
         termination=TERM_CONVERGED,
@@ -227,7 +225,7 @@ def plain_multi_start(problem, M, fs_path, opts=None):
     refits every active set it reaches.  The coefficients come from the
     restart with the smallest (final objective, active set); the
     iteration count and termination from the first restart that ends on
-    that set.
+    that set.  An empty path restarts from the zero vector alone.
     """
     if opts is None:
         opts = IterationOptions(algorithm="foss")
@@ -237,7 +235,7 @@ def plain_multi_start(problem, M, fs_path, opts=None):
     hi = min(hi, len(fs_path.steps))
     lo = min(lo, hi)
     if hi < 1:
-        raise ValueError("stepwise path is empty")
+        return reference_run(problem, fs_path.coef_at(0), M, opts)
     results = [
         reference_run(problem, fs_path.coef_at(size), M, opts) for size in range(lo, hi + 1)
     ]
@@ -264,7 +262,7 @@ def reference_run(problem, init, M, opts):
     ``run``.
     """
     step = oss_step if opts.algorithm == "oss" else foss_step
-    coef = SparseCoef.from_dense(init.beta, M)
+    coef = init
     trace = []
     best, best_rss, prev = None, math.inf, None
     if coef.active.size <= M:
@@ -274,7 +272,7 @@ def reference_run(problem, init, M, opts):
     visited = set()
     iterations, termination = 0, TERM_MAX_ITER
     for k in range(1, opts.resolved_max_iter() + 1):
-        coef = step(problem, coef)
+        coef = step(problem, coef, M)
         cur = rss(problem, coef)
         trace.append(cur)
         iterations = k

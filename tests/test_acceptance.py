@@ -59,10 +59,10 @@ def test_criterion_1_monotonicity_suite():
         k_test = int(rng.integers(0, M + 1))
         if k_test:
             beta[rng.choice(p, size=k_test, replace=False)] = rng.normal(0, 2, size=k_test)
-        coef = SparseCoef.from_dense(beta, M)
+        coef = SparseCoef.from_dense(beta)
         before = rss(prob, coef)
-        after_step = rss(prob, oss_step(prob, coef))
-        after_refit = rss(prob, foss_step(prob, coef))
+        after_step = rss(prob, oss_step(prob, coef, M))
+        after_refit = rss(prob, foss_step(prob, coef, M))
         step_violations += not (after_step <= before * (1 + 1e-9))
         refit_violations += not (after_refit <= after_step * (1 + 1e-9))
     elapsed = time.time() - start
@@ -86,7 +86,7 @@ def test_criterion_2_orthogonal_optimality():
         X = orthogonal_design(int(rng.integers(0, 2**31)), n=n, p=p)
         y = rng.standard_normal(n)
         prob = standardize(X, y)
-        one_step = rss(prob, oss_step(prob, SparseCoef.zeros(p, M)))
+        one_step = rss(prob, oss_step(prob, SparseCoef.zeros(p), M))
         oracle = exhaustive_best_subset(prob, M).final_rss
         failures += not (one_step <= oracle * (1 + 1e-10))
     elapsed = time.time() - start
@@ -106,7 +106,7 @@ def test_criterion_3_fixed_point_and_local_convergence():
     for seed in range(total):
         prob, M = unique_solution_problem(7000 + seed)
         star = exhaustive_best_subset(prob, M).coef
-        stepped = oss_step(prob, star)
+        stepped = oss_step(prob, star, M)
         fixed_ok += bool(
             np.array_equal(stepped.active, star.active)
             and np.allclose(stepped.beta, star.beta, rtol=0, atol=1e-10)
@@ -115,7 +115,7 @@ def test_criterion_3_fixed_point_and_local_convergence():
         perturbed[star.active] += 1e-3
         res = run(
             prob,
-            SparseCoef.from_dense(perturbed, M),
+            SparseCoef.from_dense(perturbed),
             M,
             IterationOptions("oss", rel_tol=0.0, max_iter=200),
         )

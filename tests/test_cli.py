@@ -20,6 +20,7 @@ from subsetscreen import (
     exhaustive_best_subset,
     gen_equicorrelated_design,
     gen_response,
+    method_catalog,
     standardize,
 )
 from subsetscreen.cli import InputFileError, main, read_matrix_csv
@@ -157,6 +158,19 @@ class TestScreen:
         assert main(["screen", x_path, y_path, "--method", "fs", "-M", "2", "--out", str(out)]) == 0
         result = json.loads(out.read_text())
         assert result["selected"][0] == 2
+
+    @pytest.mark.parametrize("method", method_catalog())
+    def test_all_constant_design_selects_nothing(self, tmp_path, method):
+        rng = np.random.default_rng(76)
+        X = np.tile(rng.standard_normal(5), (12, 1))
+        y = rng.standard_normal(12)
+        x_path, y_path = write_xy(tmp_path, X, y)
+        out = tmp_path / "result.json"
+        assert main(["screen", x_path, y_path, "--method", method, "-M", "2", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        centered = y - y.mean()
+        assert result["selected"] == []
+        assert result["rss"] == float(centered @ centered)
 
     @pytest.mark.parametrize("method", ["sis", "isis", "fs"])
     @pytest.mark.parametrize("flag", [["--rel-tol", "1e-8"], ["--max-iter", "5"]])

@@ -49,7 +49,7 @@ from _support import (
 class TestRss:
     def test_zero_coefficients(self):
         prob = random_problem(10)
-        zero = SparseCoef.zeros(prob.p, 3)
+        zero = SparseCoef.zeros(prob.p)
         assert rss(prob, zero) == pytest.approx(float(prob.y @ prob.y))
 
     def test_exact_fit(self):
@@ -58,13 +58,13 @@ class TestRss:
         beta[0] = 1.0
         y = prob.X @ beta
         exact = standardize(prob.X, y)
-        assert rss(exact, SparseCoef.from_dense(beta, 1)) <= 1e-20
+        assert rss(exact, SparseCoef.from_dense(beta)) <= 1e-20
 
     def test_matches_naive_evaluation(self):
         rng = np.random.default_rng(12)
         prob = standardize(rng.standard_normal((10, 4)), rng.standard_normal(10))
         beta = np.array([0.5, 0.0, -1.2, 0.0])
-        coef = SparseCoef.from_dense(beta, 2)
+        coef = SparseCoef.from_dense(beta)
         naive = float(np.sum((prob.y - prob.X @ beta) ** 2))
         assert rss(prob, coef) == pytest.approx(naive, rel=1e-12)
 
@@ -107,7 +107,7 @@ class TestSteps:
         rng = np.random.default_rng(14)
         prob = standardize(X, rng.standard_normal(24))
         M = 3
-        stepped = oss_step(prob, SparseCoef.zeros(8, M))
+        stepped = oss_step(prob, SparseCoef.zeros(8), M)
         expected = hard_threshold(prob.xty, M) / prob.c
         np.testing.assert_allclose(stepped.beta, expected, atol=1e-14)
         oracle = exhaustive_best_subset(prob, M)
@@ -116,13 +116,13 @@ class TestSteps:
     def test_zero_response_stays_zero(self):
         rng = np.random.default_rng(15)
         prob = standardize(rng.standard_normal((12, 5)), np.zeros(12))
-        stepped = oss_step(prob, SparseCoef.zeros(5, 2))
+        stepped = oss_step(prob, SparseCoef.zeros(5), 2)
         np.testing.assert_array_equal(stepped.beta, np.zeros(5))
 
     def test_optimum_is_fixed_point(self):
         prob, M = unique_solution_problem(7003)
         star = exhaustive_best_subset(prob, M).coef
-        stepped = oss_step(prob, star)
+        stepped = oss_step(prob, star, M)
         np.testing.assert_array_equal(stepped.active, star.active)
         np.testing.assert_allclose(stepped.beta, star.beta, atol=1e-10)
 
@@ -137,10 +137,10 @@ class TestSteps:
             k = int(rng.integers(0, M + 1))
             if k:
                 beta[rng.choice(p, size=k, replace=False)] = rng.normal(0, 2, size=k)
-            coef = SparseCoef.from_dense(beta, M)
+            coef = SparseCoef.from_dense(beta)
             before = rss(prob, coef)
-            after_step = rss(prob, oss_step(prob, coef))
-            after_refit = rss(prob, foss_step(prob, coef))
+            after_step = rss(prob, oss_step(prob, coef, M))
+            after_refit = rss(prob, foss_step(prob, coef, M))
             assert after_step <= before * (1 + 1e-9)
             assert after_refit <= after_step * (1 + 1e-9)
 
@@ -148,16 +148,16 @@ class TestSteps:
         X = orthogonal_design(17, n=30, p=6)
         rng = np.random.default_rng(18)
         prob = standardize(X, rng.standard_normal(30))
-        zero = SparseCoef.zeros(6, 2)
-        stepped = oss_step(prob, zero)
-        refit = foss_step(prob, zero)
+        zero = SparseCoef.zeros(6)
+        stepped = oss_step(prob, zero, 2)
+        refit = foss_step(prob, zero, 2)
         np.testing.assert_array_equal(stepped.active, refit.active)
         np.testing.assert_allclose(stepped.beta, refit.beta, rtol=1e-6)
 
     def test_refit_residual_orthogonal_to_selection(self):
         rng = np.random.default_rng(19)
         prob = standardize(rng.standard_normal((50, 20)), rng.standard_normal(50))
-        refit = foss_step(prob, SparseCoef.zeros(20, 6))
+        refit = foss_step(prob, SparseCoef.zeros(20), 6)
         resid = prob.y - prob.X @ refit.beta
         scale = np.linalg.norm(prob.y) * np.sqrt(prob.n)
         assert np.max(np.abs(prob.X[:, refit.active].T @ resid)) <= 1e-8 * scale
@@ -173,8 +173,8 @@ class TestSteps:
         X = np.column_stack([a, -a, a, -a, b, c])
         prob = standardize(X, a)
         assert prob.c >= jacobi_max_eigenvalue(prob.X.T @ prob.X)
-        zero = SparseCoef.zeros(6, 4)
-        assert rss(prob, oss_step(prob, zero)) <= rss(prob, zero)
+        zero = SparseCoef.zeros(6)
+        assert rss(prob, oss_step(prob, zero, 4)) <= rss(prob, zero)
 
     def test_degenerate_columns_never_selected(self):
         rng = np.random.default_rng(20)
@@ -183,7 +183,7 @@ class TestSteps:
         prob = standardize(X, rng.standard_normal(20))
         beta = np.zeros(5)
         beta[2] = 9.0  # junk weight on the constant column
-        stepped = oss_step(prob, SparseCoef.from_dense(beta, 2))
+        stepped = oss_step(prob, SparseCoef.from_dense(beta), 2)
         assert 2 not in stepped.active
 
 
@@ -236,17 +236,17 @@ class TestStepEngine:
             prob, M = random_problem(22, n=50, p=80, d=4), 6
         else:
             prob, M = _kronecker_problem(22)
-        coef = SparseCoef.zeros(prob.p, M)
+        coef = SparseCoef.zeros(prob.p)
         for _ in range(30):
-            got, ref = oss_step(prob, coef), reference_oss_step(prob, coef)
+            got, ref = oss_step(prob, coef, M), reference_oss_step(prob, coef, M)
             assert got.beta.tobytes() == ref.beta.tobytes()
             coef = ref
 
     @pytest.mark.parametrize("case", sorted(REFIT_CASES))
     def test_refit_matches_qr(self, case):
         prob, active = REFIT_CASES[case]()
-        got = refit_subset(prob, active, active.size)
-        ref = reference_refit(prob, active, active.size)
+        got = refit_subset(prob, active)
+        ref = reference_refit(prob, active)
         np.testing.assert_array_equal(got.active, ref.active)
         assert np.abs(got.beta - ref.beta).max() <= 1e-8 * np.abs(ref.beta).max()
         # Compared exactly: forming either residual in floating point
@@ -255,11 +255,10 @@ class TestStepEngine:
         assert abs(exact_got - exact_ref) <= 1e-12 * exact_ref
 
 
-def _active_stabilization(problem, init, M, step, cap=400):
-    coef = SparseCoef.from_dense(init.beta, M)
+def _active_stabilization(problem, coef, M, step, cap=400):
     actives = []
     for _ in range(cap):
-        coef = step(problem, coef)
+        coef = step(problem, coef, M)
         actives.append(tuple(coef.active))
     last_change = 0
     for k, active in enumerate(actives, start=1):
@@ -282,8 +281,8 @@ class TestDrivers:
         y = X @ beta + rng.standard_normal(n)
         prob = standardize(X, y)
         init = sis(prob, M)
-        it_plain, set_plain = _active_stabilization(prob, init, M, lambda pr, c: oss_step(pr, c))
-        it_refit, set_refit = _active_stabilization(prob, init, M, lambda pr, c: foss_step(pr, c))
+        it_plain, set_plain = _active_stabilization(prob, init, M, oss_step)
+        it_refit, set_refit = _active_stabilization(prob, init, M, foss_step)
         assert it_plain >= 40
         assert it_refit <= 10
         assert set_plain == set_refit
@@ -315,7 +314,7 @@ class TestDrivers:
         star = exhaustive_best_subset(prob, M).coef
         perturbed = star.beta.copy()
         perturbed[star.active] += 1e-3
-        res = run(prob, SparseCoef.from_dense(perturbed, M), M, IterationOptions("oss", 0.0, 200))
+        res = run(prob, SparseCoef.from_dense(perturbed), M, IterationOptions("oss", 0.0, 200))
         np.testing.assert_array_equal(res.coef.active, star.active)
         assert np.max(np.abs(res.coef.beta - star.beta)) <= 1e-8
 
@@ -324,7 +323,7 @@ class TestDrivers:
         for seed in range(20):
             prob = random_problem(300 + seed, n=30, p=12, d=3)
             M = 4
-            dense = SparseCoef.from_dense(rng.normal(0, 1, size=12), M)
+            dense = SparseCoef.from_dense(rng.normal(0, 1, size=12))
             for algorithm in ("oss", "foss"):
                 res = run(prob, dense, M, IterationOptions(algorithm))
                 trace = res.rss_trace
@@ -333,12 +332,12 @@ class TestDrivers:
     @pytest.mark.parametrize("algorithm", ["foss", "oss"])
     def test_infeasible_start_excluded_from_trace(self, algorithm):
         prob = random_problem(23, n=30, p=10, d=3)
-        dense = SparseCoef.from_dense(np.ones(10), 2)
+        dense = SparseCoef.from_dense(np.ones(10))
         res = run(prob, dense, 2, IterationOptions(algorithm))
         # one trace entry per produced iterate; the over-budget start is
         # not recorded (its objective is not comparable to thresholded ones)
         assert len(res.rss_trace) == res.iterations
-        feasible = SparseCoef.zeros(10, 2)
+        feasible = SparseCoef.zeros(10)
         res_feasible = run(prob, feasible, 2, IterationOptions(algorithm))
         assert len(res_feasible.rss_trace) == res_feasible.iterations + 1
 
@@ -441,9 +440,9 @@ class TestMultiStartMatchesPlainRestarts:
         refit_sets = []
         refit = core.refit_subset
 
-        def recorded(problem, active, bound):
+        def recorded(problem, active):
             refit_sets.append(tuple(int(j) for j in active))
-            return refit(problem, active, bound)
+            return refit(problem, active)
 
         with monkeypatch.context() as patch:
             patch.setattr(core, "refit_subset", recorded)
@@ -461,6 +460,20 @@ class TestMultiStartMatchesPlainRestarts:
         assert len(distinct) < len(plain_sets)
         if case == "duplicated":
             assert any(len({4, 18, 19} & set(s)) > 1 for s in distinct)
+
+    def test_an_empty_path_restarts_from_zero(self):
+        # Every column constant: the sweep adds nothing, and the one
+        # restart is the run from the zero vector.
+        rng = np.random.default_rng(34)
+        prob = standardize(np.tile(rng.standard_normal(6), (15, 1)), rng.standard_normal(15))
+        path = forward_stepwise(prob, 4)
+        assert path.order.size == 0
+        assert path.coef_at(0).beta.tobytes() == np.zeros(6).tobytes()
+        res = multi_start_foss_fs(prob, 3, path)
+        ref = plain_multi_start(prob, 3, path)
+        assert res.coef.beta.tobytes() == ref.coef.beta.tobytes() == np.zeros(6).tobytes()
+        assert res.rss_trace.tobytes() == ref.rss_trace.tobytes()
+        assert (res.iterations, res.termination) == (ref.iterations, ref.termination)
 
     @pytest.mark.parametrize("seed", range(30, 36))
     def test_iteration_count_ignores_last_ulps_of_the_starts(self, seed):
@@ -553,7 +566,7 @@ class TestMultiStartWalksMatchPlainRestarts:
         M = 3
         assert multi_start_window(prob.n, prob.p, M) == (M, M)
         path = forward_stepwise(prob, M + 1)
-        refit = refit_subset(prob, path.steps[M - 1].active, M)
+        refit = refit_subset(prob, path.steps[M - 1].active)
         coefs = path.coefs.copy()
         coefs[M - 1, :M] = refit.beta[path.order[:M]]
         coefs[M - 1, M] = -0.0
@@ -614,7 +627,7 @@ class TestFossRunMatchesStepByStep:
         prob, M = MULTI_START_CASES[case]()
         opts = FOSS_ENDINGS[ending]
         path = forward_stepwise(prob, multi_start_window(prob.n, prob.p, M)[1])
-        starts = [SparseCoef.zeros(prob.p, M), sis(prob, M)]
+        starts = [SparseCoef.zeros(prob.p), sis(prob, M)]
         starts += [path.coef_at(size) for size in range(1, len(path.steps) + 1)]
         endings = set()
         for init in starts:
@@ -631,7 +644,7 @@ class TestExhaustive:
     def test_full_model(self):
         prob = random_problem(28, n=30, p=5, d=2)
         res = exhaustive_best_subset(prob, 5)
-        full = refit_subset(prob, np.arange(5), 5)
+        full = refit_subset(prob, np.arange(5))
         assert res.final_rss == pytest.approx(rss(prob, full), rel=1e-12)
 
     def test_beats_every_subset_independently(self):
@@ -805,7 +818,7 @@ class TestOracleMatchesPlainEnumeration:
         np.testing.assert_array_equal(prob.X[:, 10], prob.X[:, 11])
         res = exhaustive_best_subset(prob, 4)
         assert tuple(res.coef.active) == (5, 10, 20, 25)
-        assert rss(prob, refit_subset(prob, [5, 11, 20, 25], 4)) == res.final_rss
+        assert rss(prob, refit_subset(prob, [5, 11, 20, 25])) == res.final_rss
         assert_same_oracle(prob, 4)
 
     @pytest.mark.parametrize("case", ["constant", "zero", "duplicated"])
@@ -848,7 +861,7 @@ def _slow_pair_problem(duplicate=False, degenerate=False, gamma=0.0, seed=80):
     prob = standardize(X, y)
     beta = np.zeros(8)
     beta[:4] = (0.7, 0.1, 0.5, 0.5)
-    return prob, SparseCoef.from_dense(beta, 4), 4
+    return prob, SparseCoef.from_dense(beta), 4
 
 
 def _one_moving_coordinate(gamma=0.0, seed=80):
@@ -864,7 +877,7 @@ def _one_moving_coordinate(gamma=0.0, seed=80):
     y = X[:, 0] + X[:, 2] + 0.5 * X[:, 5] + gamma * Q[:, 4] + 0.03 * Q[:, 6] + 0.3 * Q[:, 8]
     beta = np.zeros(8)
     beta[[0, 2, 3, 5]] = (1.0, 0.5, 0.5, 0.5)
-    return standardize(X, y), SparseCoef.from_dense(beta, 4), Q
+    return standardize(X, y), SparseCoef.from_dense(beta), Q
 
 
 def _recorded_jumps(monkeypatch):
@@ -899,11 +912,11 @@ def _recorded_jump_spans(monkeypatch, max_iter):
     return spans
 
 
-def _set_changes(problem, init, M, steps):
+def _set_changes(problem, coef, M, steps):
     """Steps at which the step-by-step iteration changes its active set."""
-    coef, changes = SparseCoef.from_dense(init.beta, M), []
+    changes = []
     for k in range(1, steps + 1):
-        stepped = oss_step(problem, coef)
+        stepped = oss_step(problem, coef, M)
         if not np.array_equal(stepped.active, coef.active):
             changes.append(k)
         coef = stepped
@@ -992,7 +1005,7 @@ class TestOssJumpMatchesStepByStep:
         prob, init, Q = _one_moving_coordinate()
         coef = init
         for _ in range(tie):
-            coef = oss_step(prob, coef)
+            coef = oss_step(prob, coef, 4)
         gamma = (abs(coef.beta[3]) - delta) * prob.c / (prob.X[:, 4] @ Q[:, 4])
         prob, init, _ = _one_moving_coordinate(gamma)
         assert _set_changes(prob, init, 4, tie + 1) == [tie + 1]
@@ -1030,7 +1043,7 @@ class TestOssJumpMatchesStepByStep:
         largest = path.coef_at(path.order.size)
         assert largest.active.size > M
         opts = IterationOptions("oss", max_iter=max_iter)
-        for init in (SparseCoef.zeros(prob.p, M), sis(prob, M), largest):
+        for init in (SparseCoef.zeros(prob.p), sis(prob, M), largest):
             _assert_matches_step_by_step(prob, init, M, opts)
 
     def test_exact_tie_at_the_cut_on_a_kronecker_design(self, monkeypatch):
@@ -1039,14 +1052,14 @@ class TestOssJumpMatchesStepByStep:
         # rule admits 4.  The jump must stop short of that step.
         prob, _ = _kronecker_problem(7)
         M = 6
-        coef = SparseCoef.zeros(prob.p, M)
+        coef = SparseCoef.zeros(prob.p)
         for _ in range(55):
-            coef = oss_step(prob, coef)
+            coef = oss_step(prob, coef, M)
         v = coef.beta + prob.X.T @ (prob.y - prob.X @ coef.beta) / prob.c
         assert abs(v[4]) == abs(v[18]) == np.sort(np.abs(v))[-M]
-        assert 4 in oss_step(prob, coef).active
+        assert 4 in oss_step(prob, coef, M).active
         jumps = _recorded_jumps(monkeypatch)
         got, _ = _assert_matches_step_by_step(
-            prob, SparseCoef.zeros(prob.p, M), M, IterationOptions("oss")
+            prob, SparseCoef.zeros(prob.p), M, IterationOptions("oss")
         )
         assert sum(jumps) > 100 and 4 in got.coef.active and 18 not in got.coef.active

@@ -1,4 +1,5 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke test: every script under demos/ and the README's library quick
+start run to completion."""
 
 import os
 import subprocess
@@ -11,18 +12,31 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
-def test_demo_exits_cleanly(script, tmp_path):
+def _run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    done = subprocess.run(
-        [sys.executable, str(script)],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_exits_cleanly(script, tmp_path):
+    done = _run_python([str(script)], tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    section = (ROOT / "README.md").read_text().split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    done = _run_python(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+    # The selected columns print as plain ints, not numpy scalar reprs.
+    assert "np." not in done.stdout

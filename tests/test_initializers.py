@@ -165,8 +165,7 @@ class TestForwardStepwise:
         y = base @ np.array([1.0, -1.0, 0.5]) + 0.1 * rng.standard_normal(20)
         prob = standardize(X, y)
         path = forward_stepwise(prob, 5)
-        assert path.truncated
-        assert len(path.steps) == 3
+        assert path.order.size == len(path.steps) == 3
 
     def test_rejects_bad_size(self):
         prob = correlated_problem(58)
@@ -179,20 +178,20 @@ class TestForwardStepwise:
         prob = correlated_problem(59)
         path = forward_stepwise(prob, 4)
         coef = path.coef_at(2)
-        refit = refit_subset(prob, list(path.steps[1].active), 2)
+        refit = refit_subset(prob, list(path.steps[1].active))
         np.testing.assert_allclose(coef.beta, refit.beta, atol=1e-12)
 
     def test_back_substitution_matches_min_norm_refit(self, monkeypatch):
         prob = correlated_problem(61, n=120, p=400, d=3)
         calls = count_min_norm_calls(monkeypatch, initializers)
         path = forward_stepwise(prob, 60)
-        assert len(path.steps) == 60 and not path.truncated
+        assert len(path.steps) == 60
         assert calls == []  # full rank throughout: every prefix is back-substituted
         for k, step in enumerate(path.steps, start=1):
             coef = path.coef_at(k)
             assert step.coef.shape == (k,)
             np.testing.assert_array_equal(coef.active, step.active)
-            refit = refit_subset(prob, step.active, k)
+            refit = refit_subset(prob, step.active)
             np.testing.assert_allclose(coef.beta, refit.beta, rtol=1e-9, atol=1e-12)
 
     def test_prefix_coef_within_forward_error_bound_of_solve_triangular(self):
@@ -205,7 +204,7 @@ class TestForwardStepwise:
         eps = np.finfo(float).eps
         for name, (prob, size) in STEPWISE_FACTOR_CASES.items():
             path = forward_stepwise(prob, size)
-            order, _, R, qty, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
+            order, _, R, qty = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
             diag = np.diag(R)
             usable = np.logical_and.accumulate(diag > initializers.FACTOR_SOLVE_RTOL * diag[0]).sum()
             assert usable >= 4, name
@@ -233,7 +232,7 @@ class TestForwardStepwise:
         assert initializers.SPAN_RTOL2 ** 0.5 < rel < initializers.FACTOR_SOLVE_RTOL
         assert calls == list(range(late + 1, 7))
         for k in range(late + 1, 7):
-            refit = refit_subset(prob, path.steps[k - 1].active, k)
+            refit = refit_subset(prob, path.steps[k - 1].active)
             np.testing.assert_array_equal(path.coef_at(k).beta, refit.beta)
 
 
@@ -285,7 +284,7 @@ class TestSweepGradients:
         prob, size = STEPWISE_FACTOR_CASES[name]
         eps = np.finfo(float).eps
         path = forward_stepwise(prob, size)
-        _, _, R, _, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
+        _, _, R, _ = initializers._greedy_factor(prob.X, prob.y[:, None], size)[0]
         assert path.factored >= 4, name
         for lo in range(1, path.factored + 1, core.FIRST_SET_ROWS):
             hi = min(lo + core.FIRST_SET_ROWS - 1, path.factored)
@@ -387,7 +386,7 @@ class TestDowndatedScores:
         # from Q and Q'y), a refresh forms exactly that product, and each
         # step adds the column the scores from it choose.
         prob, size = DOWNDATE_CASES[name]()
-        (order, Q, _, qty, _), steps = _recorded_sweep(monkeypatch, prob, size)
+        (order, Q, _, qty), steps = _recorded_sweep(monkeypatch, prob, size)
         assert len(steps) == order.size
         residual = prob.y[None, :].copy()
         for k, (first, refresh) in enumerate(steps):
@@ -450,7 +449,7 @@ class TestSweepMemory:
         X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
         prob = standardize(X, X[:, :3] @ np.array([1.0, -1.0, 0.5]) + rng.standard_normal(n))
         path, peak, _ = traced_bytes(forward_stepwise, prob, n - 1)
-        assert path.truncated and path.order.size == rank
+        assert path.order.size == rank
         block = initializers.STALE_BLOCK
         bound = 8 * (16 * p + 2 * n * (n - 1) + 4 * (n - 1) ** 2 + 3 * n * block)
         assert peak <= bound < 8 * n * p
@@ -474,7 +473,7 @@ class TestStepwiseIsExactlyGreedy:
         chosen: list[int] = []
         for step in path.steps:
             refits = {
-                j: rss(prob, refit_subset(prob, chosen + [j], len(chosen) + 1))
+                j: rss(prob, refit_subset(prob, chosen + [j]))
                 for j in range(prob.p)
                 if j not in chosen
             }
@@ -498,8 +497,8 @@ class TestStepwiseIsExactlyGreedy:
             prob = correlated_problem(66, n=120, p=400, d=3, rho=0.9)
         else:
             prob = near_collinear_problem(66, n=120, p=160, scale=1e-4)
-        order, Q, R, qty, truncated = initializers._greedy_factor(prob.X, prob.y[:, None], 60)[0]
-        assert len(order) == 60 and not truncated
+        order, Q, R, qty = initializers._greedy_factor(prob.X, prob.y[:, None], 60)[0]
+        assert len(order) == 60
         assert np.linalg.norm(Q.T @ Q - np.eye(60)) <= 1e-12
         scale = np.sqrt(prob.n)
         np.testing.assert_allclose(Q @ R, prob.X[:, order], rtol=0, atol=1e-12 * scale)
@@ -528,7 +527,6 @@ class TestStepwiseBlocks:
         k = rank - 1 if rank else 12
         for problem, path in zip(problems, paths):
             own = forward_stepwise(problem, 12)
-            assert path.truncated == own.truncated == bool(rank)
             assert path.order.size == own.order.size == (rank or 12)
             np.testing.assert_array_equal(path.order[:k], own.order[:k])
             np.testing.assert_allclose(path.coefs[:k], own.coefs[:k], rtol=1e-9, atol=1e-12)
@@ -540,7 +538,7 @@ class TestStepwiseBlocks:
         own = forward_stepwise(prob, 20)
         assert path.order.tobytes() == own.order.tobytes()
         assert path.coefs.tobytes() == own.coefs.tobytes()
-        assert (path.factored, path.truncated) == (own.factored, own.truncated)
+        assert path.factored == own.factored
 
     def test_problems_must_share_one_design(self):
         with pytest.raises(ValueError, match="share one design"):
