@@ -40,5 +40,5 @@ print(f"  objective: {oracle.final_rss:.6f}")
 gap = rss(prob, one_step) - oracle.final_rss
 print(f"objective gap: {gap:.2e} (the single step is already optimal)")
 
-ranking = np.sort(np.argsort(-np.abs(prob.xty), kind="stable")[:M])
+ranking = np.sort(np.argsort(-np.abs(prob.X.T @ prob.y), kind="stable")[:M])
 print(f"equivalently: the top-{M} marginal correlations are {ranking.tolist()}")

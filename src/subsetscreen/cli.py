@@ -225,6 +225,12 @@ def cmd_simulate(args, argv) -> int:
 
     try:
         config = config_from_dict(raw)
+        # The rel_tol key itself stays valid here: every manifest carries it.
+        if args.rel_tol is not None and set(config.methods) <= set(BASIC_METHODS):
+            raise _Failure(
+                EXIT_INPUT,
+                f"--rel-tol applies only to oss- and foss- methods, not {config.methods}",
+            )
         result = run_experiment(config, workers=args.workers)
     except ValueError as exc:
         raise _Failure(EXIT_INPUT, str(exc))

@@ -646,12 +646,12 @@ def multi_start_foss_fs(
 
     After its first step a restart's course depends only on the set that
     step thresholds to, so the restarts are not iterated one by one.
-    The first sets of the prefixes come FIRST_SET_ROWS at a time from one
-    product X'(y - X_A B) for the chunk's coefficient rows B, thresholded
-    row by row; a prefix whose cut that product does not decide beyond
-    its rounding bound (``_first_sets``) forms its gradient afresh, as
-    ``run`` does, and so do the near-dependent prefixes, which the path
-    refits by the minimum-norm solver.  Each distinct first set is walked
+    The first sets of the prefixes, the near-dependent ones the path
+    refits by the minimum-norm solver included, come FIRST_SET_ROWS at a
+    time from one product X'(y - X_A B) for the chunk's coefficient rows
+    B, thresholded row by row; a prefix whose cut that product does not
+    decide beyond its rounding bound (``_first_sets``) forms its gradient
+    afresh, as ``run`` does.  Each distinct first set is walked
     once, and each restart's result is built from its walk (see
     ``_FossStep.restart``), with each set refit once per call.  So the
     result is the one separate ``run`` calls give, bit for bit.
@@ -708,8 +708,9 @@ def _first_sets(problem: StandardizedProblem, fs_path, lo: int, betas, M: int) -
     ``hard_threshold``'s cut and tie rule without its zeros; None where
     that set is left to a gradient formed afresh.
 
-    The rows the sweep's factor solves take their gradients from
-    ``_prefix_gradients``.  With g within ``bound`` of the fresh
+    Every row takes its gradient from ``_prefix_gradients``, whether the
+    sweep's factor or the minimum-norm solver solved it: the bound there
+    holds for any coefficient row.  With g within ``bound`` of the fresh
     gradient, the entries of beta + g / c are within ``slack`` of the
     fresh ones: twice bound / c plus the rounding of forming them.  A
     row's set is decided when its M-th largest magnitude exceeds the
@@ -718,14 +719,10 @@ def _first_sets(problem: StandardizedProblem, fs_path, lo: int, betas, M: int) -
     """
     p = problem.p
     sets = [None] * betas.shape[0]
-    swept = max(0, min(betas.shape[0], fs_path.factored - lo + 1))
-    if swept == 0:
-        return sets
-    B = betas[:swept]
-    G, bound = _prefix_gradients(problem, fs_path, lo, B)
+    G, bound = _prefix_gradients(problem, fs_path, lo, betas)
     eps = np.finfo(float).eps
     v = G / problem.c
-    v += B  # in place: the same sum as B + G / c
+    v += betas  # in place: the same sum as betas + G / c
     slack = (2.0 * bound + eps * np.abs(G).max(axis=1)) / problem.c + eps * np.abs(v).max(axis=1)
     if problem.degenerate.any():
         v[:, problem.degenerate] = 0.0

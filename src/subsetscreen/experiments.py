@@ -76,13 +76,13 @@ EXCLUSION_FIELDS = ("rep", "reason")
 
 # Repetitions on a fixed design are evaluated in blocks of this many,
 # whose stepwise sweeps run in lockstep (one GEMM per step where each
-# repetition made one GEMV).  With the BLAS thread variables unset,
-# OpenBLAS keeps a 528 x 96 GEMM on one thread up to width 16 and wakes a
-# second thread from width 20 on, so the width stays at or below 16.  It
-# is 4 because it was sized when a block held each repetition's q'X and
-# X'r rows (262 KB each at 96 x 528 with 62 steps): on a 2-core machine
-# they added 1.6 MB to the peak RSS of a 20-repetition simulate at width
-# 4, and 4.1 MB at width 8.  The sweep no longer keeps those rows.
+# repetition made one GEMV).  A column's bits do not depend on the width
+# from 2 to 16, and with the BLAS thread variables unset OpenBLAS keeps a
+# 528 x 96 GEMM on one thread up to width 16.  Blocks are the pool's unit
+# of work, so narrower ones balance the workers better; wider ones save
+# time in one process (2 cores, in process, BLAS threads unset: the 80
+# repetitions of the benchmark's mc-fixed-design at seed 41 took
+# 0.46-0.50 s at width 16 against 0.52-0.54 s at width 4, medians).
 SWEEP_BLOCK = 4
 
 

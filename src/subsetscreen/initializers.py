@@ -131,10 +131,8 @@ def isis(problem: StandardizedProblem, M: int, batch: int | None = None) -> Spar
 
     active = np.zeros(0, dtype=int)
     coef = SparseCoef.zeros(problem.p)
-    gains = problem.xty  # X'r for the first residual, r = y
     while active.size < M:
-        if active.size:
-            gains = problem.X.T @ (problem.y - problem.X[:, active] @ coef.beta[active])
+        gains = problem.X.T @ (problem.y - problem.X[:, active] @ coef.beta[active])
         scores = np.abs(gains)
         scores[problem.degenerate] = -np.inf
         scores[active] = -np.inf

@@ -2,7 +2,8 @@
 
 Everything here is a pure function: standardization of a regression
 problem into the centered, equal-column-norm convention (split into the
-design-only part, ``prepare_design``, and the response part, ``bind``),
+design-only part, ``prepare_design``, and the response part, ``bind``;
+a problem is its prepared design plus a centered response),
 the largest eigenvalue of X'X by Lanczos from a fixed random start
 (its tridiagonal's top eigenpair found in plain Python, with no LAPACK
 call per step; the older power iteration is kept for comparison), and
@@ -64,51 +65,6 @@ FACTOR_SOLVE_RTOL = math.sqrt(RANK_RTOL)
 
 
 @dataclass(frozen=True, eq=False)
-class StandardizedProblem:
-    """Centered, rescaled regression data with cached solver inputs.
-
-    Attributes
-    ----------
-    X : ndarray, shape (n, p)
-        Design matrix with zero-mean columns scaled so each column's sum
-        of squares equals n.  Flagged degenerate columns are identically
-        zero.
-    y : ndarray, shape (n,)
-        Centered response.
-    xty : ndarray, shape (p,)
-        Cached X'y.
-    c : float
-        Spectral constant, at least as large as lambda_max(X'X).
-    col_means, col_scales : ndarray, shape (p,)
-        Column means and scale divisors of the raw data (scale 1 for
-        degenerate columns); together with ``y_mean`` they undo the
-        standardization.
-    y_mean : float
-        Mean of the raw response.
-    degenerate : ndarray of bool, shape (p,)
-        Marks constant (zero-variance) input columns.  Solvers never
-        select these.
-    """
-
-    X: np.ndarray
-    y: np.ndarray
-    xty: np.ndarray
-    c: float
-    col_means: np.ndarray
-    col_scales: np.ndarray
-    y_mean: float
-    degenerate: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class PreparedDesign:
     """A standardized design matrix with everything that depends on X alone.
 
@@ -124,7 +80,8 @@ class PreparedDesign:
         Column means and scale divisors of the raw data (scale 1 for
         degenerate columns).
     degenerate : ndarray of bool, shape (p,)
-        Marks constant (zero-variance) input columns.
+        Marks constant (zero-variance) input columns.  Solvers never
+        select these.
     c : float
         Spectral constant, at least as large as lambda_max(X'X).
     """
@@ -138,6 +95,27 @@ class PreparedDesign:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.X.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class StandardizedProblem(PreparedDesign):
+    """A prepared design with a centered response bound to it.
+
+    Attributes
+    ----------
+    y : ndarray, shape (n,)
+        Centered response.
+    y_mean : float
+        Mean of the raw response; with ``col_means`` and ``col_scales``
+        it undoes the standardization.
+    """
+
+    y: np.ndarray
+    y_mean: float
 
 
 def prepare_design(X_raw) -> PreparedDesign:
@@ -207,8 +185,7 @@ def prepare_design(X_raw) -> PreparedDesign:
 def bind(design: PreparedDesign, y_raw) -> StandardizedProblem:
     """Attach a response to a prepared design.
 
-    Centers ``y_raw`` and caches X'y; the design's arrays are shared, not
-    copied.
+    Centers ``y_raw``; the design's arrays are shared, not copied.
 
     Parameters
     ----------
@@ -239,14 +216,7 @@ def bind(design: PreparedDesign, y_raw) -> StandardizedProblem:
     if not math.isfinite(sum_sq):
         raise ValueError("y overflows when centered: its mean or sum of squares is not finite")
     return StandardizedProblem(
-        X=design.X,
-        y=y,
-        xty=design.X.T @ y,
-        c=design.c,
-        col_means=design.col_means,
-        col_scales=design.col_scales,
-        y_mean=y_mean,
-        degenerate=design.degenerate,
+        design.X, design.col_means, design.col_scales, design.degenerate, design.c, y, y_mean
     )
 
 
@@ -256,10 +226,10 @@ def standardize(X_raw, y_raw) -> StandardizedProblem:
     Columns of ``X_raw`` are centered and scaled so each column's sum of
     squares equals the number of rows; ``y_raw`` is centered.  Constant
     columns are kept (scale 1, zeroed out) and flagged so downstream
-    solvers skip them.  The returned problem carries X'y and a spectral
-    constant slightly above lambda_max(X'X); its design arrays are
-    read-only.  To solve several responses on one design, call
-    :func:`prepare_design` once and :func:`bind` per response.
+    solvers skip them.  The returned problem carries a spectral constant
+    slightly above lambda_max(X'X); its design arrays are read-only.  To
+    solve several responses on one design, call :func:`prepare_design`
+    once and :func:`bind` per response.
 
     Parameters
     ----------

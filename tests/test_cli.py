@@ -301,6 +301,31 @@ class TestScreen:
         assert main([*argv, "--test-rows", "2", "--out", str(tmp_path / "r.json")]) == 2
         assert not (tmp_path / "r.json").exists()
 
+    def test_test_x_without_test_y_exits_2(self, tmp_path, capsys):
+        X = np.random.default_rng(84).standard_normal((10, 3))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        out = tmp_path / "r.json"
+        assert main(["screen", x_path, y_path, "--test-x", x_path, "--out", str(out)]) == 2
+        assert "--test-x and --test-y must be given together" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_test_files_with_other_columns_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(85)
+        X = rng.standard_normal((10, 5))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        xt = tmp_path / "xt.csv"
+        np.savetxt(xt, X[:, :4], delimiter=",")
+        argv = ["screen", x_path, y_path, "--test-x", str(xt), "--test-y", y_path]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
+        assert f"{xt}: has 4 columns but {x_path} has 5" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_one_row_design_exits_3(self, tmp_path, capsys):
+        x_path, y_path = write_xy(tmp_path, np.array([[1.0, 2.0, 3.0]]), np.array([4.0]))
+        assert main(["screen", x_path, y_path, "--out", str(tmp_path / "r.json")]) == 3
+        assert "not enough rows/columns to select anything" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unknown_method_exits_2(self, tmp_path):
         rng = np.random.default_rng(73)
         X = rng.standard_normal((10, 3))
@@ -425,7 +450,7 @@ class TestOracle:
         assert main(["oracle", x_path, y_path, "-M", "3", "--out", str(out)]) == 0
         result = json.loads(out.read_text())
         prob = standardize(X, y)
-        expected = np.sort(np.argsort(-np.abs(prob.xty), kind="stable")[:3]) + 1
+        expected = np.sort(np.argsort(-np.abs(prob.X.T @ prob.y), kind="stable")[:3]) + 1
         assert result["selected"] == expected.tolist()
 
 
@@ -651,6 +676,33 @@ class TestSimulate:
         assert main(["simulate", config, "--max-iter", "5", "--out", str(out)]) == 2
         assert "max_iter" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rel_tol_without_an_iterated_method_exits_2(self, tmp_path, capsys):
+        config = self.base_config(tmp_path, methods=["sis", "fs"])
+        out = tmp_path / "run"
+        assert main(["simulate", config, "--rel-tol", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --rel-tol applies only to oss- and foss- methods, not ('sis', 'fs')\n"
+        )
+        assert not out.exists()
+
+    def test_manifest_without_an_iterated_method_replays(self, tmp_path):
+        # Every manifest carries rel_tol, so the key itself stays accepted.
+        config = self.base_config(tmp_path, methods=["sis", "fs"], repetitions=1)
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["simulate", config, "--out", str(first)]) == 0
+        assert "rel_tol" in json.loads((first / "manifest.json").read_text())["config"]
+        assert main(["simulate", str(first / "manifest.json"), "--out", str(replay)]) == 0
+        rows = (first / "repetitions.csv").read_bytes()
+        assert rows == (replay / "repetitions.csv").read_bytes()
+
+    def test_iteration_overrides_are_recorded_in_the_manifest(self, tmp_path):
+        config = self.base_config(tmp_path, repetitions=1)
+        out = tmp_path / "run"
+        argv = ["simulate", config, "--rel-tol", "0.5", "--max-iter", "3", "--out", str(out)]
+        assert main(argv) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        assert (recorded["rel_tol"], recorded["max_iter"]) == (0.5, 3)
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_exits_2(self, tmp_path, workers):

@@ -108,7 +108,7 @@ class TestSteps:
         prob = standardize(X, rng.standard_normal(24))
         M = 3
         stepped = oss_step(prob, SparseCoef.zeros(8), M)
-        expected = hard_threshold(prob.xty, M) / prob.c
+        expected = hard_threshold(prob.X.T @ prob.y, M) / prob.c
         np.testing.assert_allclose(stepped.beta, expected, atol=1e-14)
         oracle = exhaustive_best_subset(prob, M)
         assert rss(prob, stepped) == pytest.approx(oracle.final_rss, rel=1e-10)
@@ -496,9 +496,8 @@ class TestMultiStartMatchesPlainRestarts:
 def _near_dependent_problem(seed):
     # Column 19 is column 0 plus a 1e-7 perturbation that carries signal:
     # from the step that adds the second of them, the stepwise prefixes
-    # are refit by the minimum-norm solver and their restarts form their
-    # gradient afresh.  M is set so that the restart window [M - 2, M + 2]
-    # spans both kinds.
+    # are refit by the minimum-norm solver.  M is set so that the restart
+    # window [M - 2, M + 2] spans both kinds.
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((40, 19))
     e = rng.standard_normal(40)
@@ -662,7 +661,7 @@ class TestExhaustive:
         rng = np.random.default_rng(31)
         prob = standardize(X, rng.standard_normal(30))
         res = exhaustive_best_subset(prob, 3)
-        expected = np.sort(np.argsort(-np.abs(prob.xty), kind="stable")[:3])
+        expected = np.sort(np.argsort(-np.abs(prob.X.T @ prob.y), kind="stable")[:3])
         np.testing.assert_array_equal(res.coef.active, expected)
 
     def test_cap(self):

@@ -126,7 +126,7 @@ class TestForwardStepwise:
     def test_first_step_is_top_marginal(self):
         prob = correlated_problem(52)
         path = forward_stepwise(prob, 3)
-        assert path.steps[0].added == int(np.argmax(np.abs(prob.xty)))
+        assert path.steps[0].added == int(np.argmax(np.abs(prob.X.T @ prob.y)))
 
     def test_exact_fit_in_two_steps(self):
         rng = np.random.default_rng(53)
@@ -299,10 +299,11 @@ class TestSweepGradients:
                 assert err <= bound, (name, k)
                 assert err <= stated[k - lo], (name, k)
 
-    def test_near_dependent_prefixes_keep_the_fresh_gradient(self, monkeypatch):
+    def test_near_dependent_prefixes_take_the_product(self, monkeypatch):
         # Column 5 is column 0 plus a 1e-7 perturbation: from the step that
         # adds the second of them, prefixes are refit by the minimum-norm
-        # solver, and restarts from them form X'r afresh.
+        # solver.  The product's bound holds for any coefficient row, so
+        # it decides their first sets as it does those of the swept ones.
         rng = np.random.default_rng(60)
         base = rng.standard_normal((40, 5))
         e = rng.standard_normal(40)
@@ -313,28 +314,31 @@ class TestSweepGradients:
         late = max(added.index(0), added.index(5))
         assert path.factored == late
 
-        # Gains pushed towards a column outside the prefix move the
-        # restart from the swept prefix (window [M, M] at p = 6), not the
-        # one from the near-dependent prefix, which is run's own restart.
-        outside = min(set(range(prob.p)) - set(path.steps[late - 1].active))
         product = core._prefix_gradients
         pushed_sizes = []
+        for M in (late, late + 1):  # the window is [M, M] at p = 6
+            coef = path.coef_at(M)
+            first = core._FossStep(prob, M, IterationOptions("foss")).first_set(
+                coef, prob.X.T @ core._residual(prob, coef)
+            )
+            assert core._first_sets(prob, path, M, path.dense_coefs(M, M), M) == [first]
+            # Gains pushed towards a column outside that set move the restart.
+            outside = min(set(range(prob.p)) - set(first))
 
-        def pushed(problem, fs_path, lo, B):
-            gains, bound = product(problem, fs_path, lo, B)
-            pushed_sizes.extend(range(lo, lo + B.shape[0]))
-            return gains + 1e6 * prob.c * (np.arange(prob.p) == outside), bound
+            def pushed(problem, fs_path, lo, B):
+                gains, bound = product(problem, fs_path, lo, B)
+                pushed_sizes.extend(range(lo, lo + B.shape[0]))
+                return gains + 1e6 * prob.c * (np.arange(prob.p) == outside), bound
 
-        for M in (late, late + 1):
             res = multi_start_foss_fs(prob, M, path)
             with monkeypatch.context() as patch:
                 patch.setattr(core, "_prefix_gradients", pushed)
                 moved = multi_start_foss_fs(prob, M, path)
-            assert (moved.rss_trace.tobytes() != res.rss_trace.tobytes()) == (M == late)
-        assert pushed_sizes == [late]
-        fresh = run(prob, path.coef_at(late + 1), late + 1, IterationOptions("foss"))
-        assert res.coef.beta.tobytes() == fresh.coef.beta.tobytes()
-        assert res.rss_trace.tobytes() == fresh.rss_trace.tobytes()
+            assert moved.rss_trace.tobytes() != res.rss_trace.tobytes()
+            fresh = run(prob, coef, M, IterationOptions("foss"))
+            assert res.coef.beta.tobytes() == fresh.coef.beta.tobytes()
+            assert res.rss_trace.tobytes() == fresh.rss_trace.tobytes()
+        assert pushed_sizes == [late, late + 1]
 
 
 def _recorded_sweep(monkeypatch, prob, size):
@@ -539,6 +543,28 @@ class TestStepwiseBlocks:
         assert path.order.tobytes() == own.order.tobytes()
         assert path.coefs.tobytes() == own.coefs.tobytes()
         assert path.factored == own.factored
+
+    @pytest.mark.parametrize("seed", [9, 10, 114])
+    def test_a_sweep_that_leaves_the_block_early(self, seed):
+        # The last column is column 0 plus a perturbation of about 1e-10,
+        # so some sweeps run out of rank a step before the others: they
+        # leave the block, which goes on without them.  Within a block of
+        # two or more, a column's bits do not depend on the block's width.
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((12, 5))
+        e = rng.standard_normal(12)
+        X = np.hstack([base, base[:, [0]] + 10 ** rng.uniform(-11.5, -9) * e[:, None]])
+        design = prepare_design(X)
+        responses = (X[:, 0], X[:, 5], rng.standard_normal(12), rng.standard_normal(12))
+        problems = [bind(design, y) for y in responses]
+        paths = forward_stepwise_paths(problems, 6)
+        sizes = [path.order.size for path in paths]
+        assert min(sizes) < max(sizes), sizes
+        for problem, path in zip(problems, paths):
+            pair = forward_stepwise_paths([problem, problem], 6)[0]
+            assert path.order.tobytes() == pair.order.tobytes()
+            assert path.coefs.tobytes() == pair.coefs.tobytes()
+            assert path.factored == pair.factored
 
     def test_problems_must_share_one_design(self):
         with pytest.raises(ValueError, match="share one design"):

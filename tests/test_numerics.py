@@ -6,6 +6,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from subsetscreen import numerics
 from subsetscreen import (
+    PreparedDesign,
     bind,
     kronecker_design,
     lanczos_lambda_max,
@@ -301,10 +302,20 @@ class TestPrepareAndBind:
         design = prepare_design(X)
         whole = standardize(X, y)
         split = bind(design, y)
-        for field in ("X", "y", "xty", "col_means", "col_scales", "degenerate"):
+        for field in ("X", "y", "col_means", "col_scales", "degenerate"):
             assert getattr(whole, field).tobytes() == getattr(split, field).tobytes()
         assert (whole.c, whole.y_mean) == (split.c, split.y_mean)
         assert split.X is design.X
+
+    def test_bind_holds_the_designs_own_arrays(self):
+        X = np.random.default_rng(14).standard_normal((9, 4))
+        X[:, 2] = 7.0
+        design = prepare_design(X)
+        problem = bind(design, np.arange(9.0))
+        assert isinstance(problem, PreparedDesign)
+        for field in ("X", "col_means", "col_scales", "degenerate"):
+            assert getattr(problem, field) is getattr(design, field)
+        assert (problem.c, problem.n, problem.p) == (design.c, design.n, design.p)
 
     def test_prepare_design_holds_one_copy_of_the_design(self):
         # Beyond the caller's X: one n x p float array (centered, then
