@@ -182,8 +182,14 @@ def cmd_screen(args, argv) -> int:
         "iterations": int(outcome.iterations),
     }
     if X_test is not None:
-        pred = intercept + X_test @ slope
-        result["test_mse"] = float(np.mean((y_test - pred) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            test_mse = float(np.mean((y_test - (intercept + X_test @ slope)) ** 2))
+        if not math.isfinite(test_mse):
+            held_out = (args.test_x, args.test_y) if args.test_x else (args.x_path, args.y_path)
+            raise _Failure(
+                EXIT_INPUT, "the held-out squared error on {} and {} overflows".format(*held_out)
+            )
+        result["test_mse"] = test_mse
         result["test_rows"] = int(X_test.shape[0])
 
     _write_result(

@@ -17,7 +17,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -259,34 +259,19 @@ def run_method(
     )[method]
 
 
-def _design(config: ExperimentConfig, rep_index: int) -> tuple[np.ndarray, PreparedDesign]:
-    """The raw design matrix of one repetition and its prepared form."""
+def _fixed_design(config: ExperimentConfig) -> tuple[np.ndarray, PreparedDesign] | None:
+    """A run's fixed (Kronecker) design and its prepared form, read-only
+    because every repetition shares them; None for equicorrelated runs."""
     design = config.design
     if design.kind == "equicorrelated":
-        stream = child_stream(config.seed, rep_index, "design")
-        X = gen_equicorrelated_design(
-            config.model.n, config.model.p, config.model.rho, stream
-        )
-        return X, prepare_design(X)
-    if design.kind == "kronecker":
-        return _fixed_design(design.base_design_path, design.hadamard_order)
-    raise ConfigError("design.kind", f"unknown design kind {design.kind!r}")
-
-
-@lru_cache(maxsize=1)
-def _fixed_design(path: str, order: int) -> tuple[np.ndarray, PreparedDesign]:
-    """Build a Kronecker design once for the repetitions of one run.
-
-    :func:`run_experiment` empties this cache when it starts, so a
-    rewritten base file is read again by the next run.  Every array
-    returned is read-only, because every repetition on the design shares
-    it.
-    """
+        return None
+    if design.kind != "kronecker":
+        raise ConfigError("design.kind", f"unknown design kind {design.kind!r}")
     # config_from_dict read this file and warned about its entries.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TwoLevelWarning)
-        base = load_base_design(path)
-        X = kronecker_design(sylvester_hadamard(order), base)
+        base = load_base_design(design.base_design_path)
+        X = kronecker_design(sylvester_hadamard(design.hadamard_order), base)
     X.setflags(write=False)
     return X, prepare_design(X)
 
@@ -298,16 +283,23 @@ def evaluate_repetition(
 
     The design and the noise come from separate child streams of the
     master seed, so the same repetition index always reproduces the same
-    data regardless of scheduling.  A fixed (Kronecker) design is read and
-    prepared once and reused by every later repetition on it until the
-    next :func:`run_experiment` call starts.
+    data regardless of scheduling.  A fixed (Kronecker) design is built
+    afresh by each call.
     """
-    return _config_methods(config, _problem(config, rep_index))
+    return _config_methods(config, _problem(config, _fixed_design(config), rep_index))
 
 
-def _problem(config: ExperimentConfig, rep_index: int) -> StandardizedProblem:
-    """One repetition's standardized problem."""
-    X, design = _design(config, rep_index)
+def _problem(config: ExperimentConfig, fixed, rep_index: int) -> StandardizedProblem:
+    """One repetition's standardized problem, on the run's fixed design
+    or, when ``fixed`` is None, on a design of its own."""
+    if fixed is None:
+        stream = child_stream(config.seed, rep_index, "design")
+        X = gen_equicorrelated_design(
+            config.model.n, config.model.p, config.model.rho, stream
+        )
+        design = prepare_design(X)
+    else:
+        X, design = fixed
     y = gen_response(
         X, config.model.true_model(), child_stream(config.seed, rep_index, "response")
     )
@@ -348,19 +340,21 @@ def _blocks(config: ExperimentConfig) -> list[range]:
     return [range(start, min(start + width, reps)) for start in range(0, reps, width)]
 
 
-def _evaluate_block(config: ExperimentConfig, reps: range):
+def _evaluate_block(config: ExperimentConfig, fixed, reps: range):
     """``(rep, outcomes, error)`` for each repetition of one block.
 
-    A block of one is :func:`evaluate_repetition`.  A larger block takes
-    the stepwise paths of all its repetitions from one sweep
+    The block takes its repetitions' stepwise paths from one sweep
     (``forward_stepwise_paths``), then runs the methods repetition by
     repetition.  A repetition whose data or methods fail is excluded
     alone; if the block's sweep itself fails, each repetition sweeps on
-    its own.
+    its own.  ``fixed`` is the run's fixed design or None; numpy
+    unpickles arrays writeable, so a pool worker makes it read-only again.
     """
-    if len(reps) == 1:
-        return [(reps[0], *_attempt(evaluate_repetition, config, reps[0]))]
-    made = {rep: _attempt(_problem, config, rep) for rep in reps}
+    if fixed is not None:
+        X, design = fixed
+        for array in (X, design.X, design.col_means, design.col_scales, design.degenerate):
+            array.setflags(write=False)
+    made = {rep: _attempt(_problem, config, fixed, rep) for rep in reps}
     problems = {rep: problem for rep, (problem, error) in made.items() if error is None}
     paths = {}
     size = _stepwise_size(config.methods, config.M, config.model.n, config.model.p)
@@ -389,17 +383,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     repetition derives its own streams, block membership depends on the
     repetition index alone, and the aggregation folds records in
     repetition order.  A fixed design is built and prepared once per
-    call, or once per worker process.  A repetition that fails is
+    call and passed to every block.  A repetition that fails is
     excluded on its own and listed in ``exclusions`` with the reason.
 
-    Raises ValueError when ``workers`` is below 1, and when every
-    repetition is excluded (naming the first exclusion).
+    Raises ValueError when ``workers`` is below 1, when the fixed design
+    fails to build, and when every repetition is excluded (naming the
+    first exclusion); ConfigError for an unknown design kind.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    _fixed_design.cache_clear()
     blocks = _blocks(config)
-    task = partial(_evaluate_block, config)
+    task = partial(_evaluate_block, config, _fixed_design(config))
     # The pool starts all its processes at the first submit.
     workers = min(workers, len(blocks))
     if workers > 1:

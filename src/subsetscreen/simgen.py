@@ -113,7 +113,8 @@ def gen_response(X, true_model: TrueModel, stream: np.random.Generator) -> np.nd
     """Response y = X beta + sigma * z with z i.i.d. standard normal.
 
     Raises ValueError, naming the coefficient value, when X beta
-    overflows the float range.
+    overflows the float range, and naming ``sigma`` when the noise or the
+    sum overflows it.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[1] != true_model.beta.shape[0]:
@@ -126,7 +127,14 @@ def gen_response(X, true_model: TrueModel, stream: np.random.Generator) -> np.nd
         raise ValueError(
             f"X @ beta overflowed; beta_value={beta_value:g} makes the response non-finite"
         )
-    return signal + true_model.sigma * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = signal + true_model.sigma * z
+    if not np.all(np.isfinite(y)):
+        raise ValueError(
+            f"X @ beta + sigma * z overflowed; sigma={true_model.sigma:g} "
+            "makes the response non-finite"
+        )
+    return y
 
 
 def sylvester_hadamard(m: int) -> np.ndarray:

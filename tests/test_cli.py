@@ -320,6 +320,21 @@ class TestScreen:
         assert f"{xt}: has 4 columns but {x_path} has 5" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_overflowing_held_out_error_exits_2_naming_the_test_files(self, tmp_path, capsys):
+        X = np.random.default_rng(86).standard_normal((30, 8))
+        x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+        xt = tmp_path / "xt.csv"
+        np.savetxt(xt, X * 1e307, delimiter=",")
+        out = tmp_path / "r.json"
+        argv = ["screen", x_path, y_path, "--method", "sis", "-M", "2",
+                "--test-x", str(xt), "--test-y", y_path, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert f"held-out squared error on {xt} and {y_path} overflows" in capsys.readouterr().err
+        assert list(tmp_path.glob("r.json*")) == []
+
     def test_one_row_design_exits_3(self, tmp_path, capsys):
         x_path, y_path = write_xy(tmp_path, np.array([[1.0, 2.0, 3.0]]), np.array([4.0]))
         assert main(["screen", x_path, y_path, "--out", str(tmp_path / "r.json")]) == 3
@@ -486,14 +501,14 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"]["exclusions"] == str(out / "exclusions.csv")
 
-        real = experiments.evaluate_repetition
+        real = experiments._problem
 
-        def flaky(cfg, rep):
+        def flaky(cfg, fixed, rep):
             if rep == 1:
                 raise np.linalg.LinAlgError("synthetic failure")
-            return real(cfg, rep)
+            return real(cfg, fixed, rep)
 
-        monkeypatch.setattr(experiments, "evaluate_repetition", flaky)
+        monkeypatch.setattr(experiments, "_problem", flaky)
         out = tmp_path / "flaky"
         assert main(["simulate", config, "--out", str(out)]) == 0
         lines = (out / "exclusions.csv").read_text().splitlines()
@@ -609,6 +624,17 @@ class TestSimulate:
             assert main(["simulate", config, "--out", str(out)]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "X @ beta overflowed; beta_value=1e+308" in capsys.readouterr().err
+
+    def test_overflowing_noise_names_sigma(self, tmp_path, capsys):
+        # At 100 rows some sigma * z overflows in every repetition.
+        config = self.base_config(tmp_path, n=100, sigma=1e308)
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", config, "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "sigma=1e+308 makes the response non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repetition_whose_response_overflows_is_excluded(self, tmp_path):
         # At this beta_value the signal is finite in every repetition, but

@@ -1,5 +1,6 @@
 """Smoke test: every script under demos/ and the README's library quick
-start run to completion."""
+start run to completion, with a RuntimeWarning an error as in the
+in-process tests."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ def _run_python(args, cwd):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         cwd=cwd,
         env=env,
         capture_output=True,

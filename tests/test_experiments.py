@@ -1,4 +1,5 @@
 import concurrent.futures
+import pickle
 
 import numpy as np
 import pytest
@@ -317,14 +318,14 @@ class TestRunExperiment:
         import subsetscreen.experiments as experiments_module
 
         config = small_config(repetitions=4, methods=["sis"])
-        real = experiments_module.evaluate_repetition
+        real = experiments_module._problem
 
-        def flaky(cfg, rep):
+        def flaky(cfg, fixed, rep):
             if rep == 2:
                 raise ValueError("synthetic generation failure")
-            return real(cfg, rep)
+            return real(cfg, fixed, rep)
 
-        monkeypatch.setattr(experiments_module, "evaluate_repetition", flaky)
+        monkeypatch.setattr(experiments_module, "_problem", flaky)
         result = experiments_module.run_experiment(config)
         assert result.exclusions == ((2, "ValueError: synthetic generation failure"),)
         assert result.table.row("sis").repetitions == 3
@@ -391,11 +392,39 @@ class TestFixedDesignCache:
         run_experiment(small_config(repetitions=5, methods=["sis"]))
         assert len(shapes) == 3 + 5
 
+    def test_a_pool_run_prepares_the_design_once_in_this_process(self, tmp_path, monkeypatch):
+        shapes = []
+        real = experiments.prepare_design
+
+        def counting(X):
+            shapes.append(X.shape)
+            return real(X)
+
+        path = tmp_path / "base.csv"
+        write_base(path, 2)
+        config = kronecker_config(path, repetitions=9)
+        serial = run_experiment(config)
+        monkeypatch.setattr(experiments, "prepare_design", counting)
+        assert run_experiment(config, workers=2).records == serial.records
+        assert shapes == [(config.model.n, config.model.p)]
+
     def test_cached_arrays_refuse_writes(self, tmp_path):
         path = tmp_path / "base.csv"
         write_base(path, 3)
-        X, design = experiments._design(kronecker_config(path), 0)
-        assert experiments._design(kronecker_config(path), 1)[1] is design
+        X, design = experiments._fixed_design(kronecker_config(path))
+        for array in (X, design.X, design.col_means, design.col_scales, design.degenerate):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_arrays_a_block_receives_refuse_writes_after_pickling(self, tmp_path):
+        path = tmp_path / "base.csv"
+        write_base(path, 3)
+        config = kronecker_config(path, repetitions=2)
+        # What a pool worker receives: numpy unpickles arrays writeable.
+        X, design = pickle.loads(pickle.dumps(experiments._fixed_design(config)))
+        assert X.flags.writeable
+        evaluated = experiments._evaluate_block(config, (X, design), range(2))
+        assert [(rep, error) for rep, _, error in evaluated] == [(0, None), (1, None)]
         for array in (X, design.X, design.col_means, design.col_scales, design.degenerate):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -409,6 +438,18 @@ class TestFixedDesignCache:
         write_base(other, 5)
         assert after.records == run_experiment(kronecker_config(other, repetitions=3)).records
         assert after.records != before.records
+
+    def test_evaluate_repetition_reads_a_rewritten_base_file(self, tmp_path):
+        path = tmp_path / "base.csv"
+        write_base(path, 4)
+        run_experiment(kronecker_config(path, repetitions=1))
+        write_base(path, 5)
+        config = kronecker_config(path, repetitions=1, methods=EVERY_ITERATION)
+        direct = evaluate_repetition(config, 0)
+        for record in run_experiment(config).records:
+            outcome = direct[record.method]
+            assert record.selected == tuple(outcome.coef.active.tolist())
+            assert record.rss == outcome.final_rss
 
     def test_repetitions_csv_same_for_any_worker_count(self, tmp_path):
         # Repetitions run in blocks of SWEEP_BLOCK; 9 leave a short last block.
@@ -446,10 +487,10 @@ class TestRepetitionBlocks:
         clean = run_experiment(config)
         real = experiments._problem
 
-        def flaky(cfg, rep):
+        def flaky(cfg, fixed, rep):
             if rep == 2:
                 raise ValueError("synthetic failure")
-            return real(cfg, rep)
+            return real(cfg, fixed, rep)
 
         monkeypatch.setattr(experiments, "_problem", flaky)
         result = run_experiment(config)

@@ -86,6 +86,13 @@ class TestResponse:
         second = gen_response(X, tm, child_stream(7, 1, "response"))
         np.testing.assert_array_equal(first, second)
 
+    def test_overflowing_noise_names_sigma(self):
+        X = gen_equicorrelated_design(100, 3, 0.0, child_stream(9, 0, "design"))
+        tm = TrueModel(support=np.array([0]), beta=np.array([1.0, 0.0, 0.0]), sigma=1e308)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match="sigma=1e\\+308 makes the response non-finite"):
+                gen_response(X, tm, child_stream(9, 0, "response"))
+
     def test_dimension_check(self):
         tm = TrueModel(support=np.array([0]), beta=np.array([1.0, 0.0]), sigma=1.0)
         with pytest.raises(ValueError):
