@@ -24,9 +24,9 @@ differ, whose stop test could fire (both judged with a stated rounding
 allowance), or at the iteration cap, and the ordinary step takes over
 from there.  ``_FossStep``, the refitting iteration, is memoized by
 set and shared with the multi-start restarts: a run is the walk from
-the set its first step reaches, so the restarts walk each distinct
-first set once, and they take their first gradients from one product
-per chunk of stepwise prefixes.
+the set its first step reaches, so every restart is one pair (start,
+first set), each distinct first set is walked once, and the first sets
+of a chunk of stepwise prefixes come from one product.
 
 The oracle scores every subset S by a Householder QR of [X_S, y], many
 subsets per LAPACK call (the last diagonal entry of R is the residual
@@ -40,7 +40,7 @@ the answer is the one a separate refit of every subset gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -471,7 +471,10 @@ class _OssStep:
             tau = JUMP_SLACK * ((k + 1.0) * M * e_cand + k * h_null / c)
             d = weight @ (np.exp(np.multiply.outer(logq, k - 1.0)) * h[:, None]) ** 2
             prior = before - np.concatenate(([0.0], np.cumsum(d[:-1])))
-            test = d - self.rel_tol * np.where(prior > 0.0, prior, 1.0)
+            # A large rel_tol may overflow the margin to inf: the jump stops
+            # there and the ordinary step's stop test fires.
+            with np.errstate(over="ignore"):
+                test = d - self.rel_tol * np.where(prior > 0.0, prior, 1.0)
             rho = JUMP_SLACK * (
                 e_rss + (k + M) * _EPS * d + 4.0 * k * np.sqrt(M * c * d) * e_cand
                 + 2.0 * h_null * h_null / c
@@ -529,23 +532,22 @@ class _FossStep:
 
     def run(self, init: SparseCoef, residual) -> ScreeningResult:
         """The run from ``init``, whose residual is ``residual``."""
-        return self.restart(init, residual, self.first_set(init, self.problem.X.T @ residual))
+        return self.restart(init, self.first_set(init, self.problem.X.T @ residual))
 
-    def restart(self, init: SparseCoef, residual, first) -> ScreeningResult:
-        """The run from ``init`` (residual ``residual``) whose first step
-        thresholds to ``first``.
+    def restart(self, start: SparseCoef, first) -> ScreeningResult:
+        """The run from ``start`` whose first step thresholds to ``first``.
 
         That run is the walk from ``first`` (the same object for every
-        such ``init`` beyond the budget, whose residual is not read and
-        may be None), except where ``init`` is within the budget: then
-        its objective leads the trace, the first step meets the stop rule
-        against it (and the run ends there), and it stays the returned
-        iterate unless a step's objective is strictly smaller.
+        such ``start`` beyond the budget), except where ``start`` is
+        within the budget: then its objective leads the trace, the first
+        step meets the stop rule against it (and the run ends there), and
+        it stays the returned iterate unless a step's objective is
+        strictly smaller.
         """
         walk = self.walk(first)
-        if init.active.size > self.M:
+        if start.active.size > self.M:
             return walk
-        r0 = float(residual @ residual)
+        r0 = rss(self.problem, start)
         v1 = walk.rss_trace[0]
         if _stops(r0, v1, self.rel_tol):
             best, value, trace = self._refit(first)[0], v1, walk.rss_trace[:1]
@@ -554,7 +556,7 @@ class _FossStep:
             best, value, trace = walk.coef, walk.final_rss, walk.rss_trace
             iterations, termination = walk.iterations, walk.termination
         return ScreeningResult(
-            coef=best if value < r0 else init,
+            coef=best if value < r0 else start,
             rss_trace=np.concatenate(([r0], trace)),
             iterations=iterations,
             termination=termination,
@@ -613,13 +615,12 @@ def _stops(prev: float, cur: float, rel_tol: float) -> bool:
 def multi_start_window(n: int, p: int, M: int) -> tuple[int, int]:
     """Inclusive range of stepwise prefix sizes used as restart points.
 
-    The window is M +/- floor(p/10), capped above by n, then clamped into
-    [1, min(n - 1, p)].
+    The window is M +/- floor(p/10), clamped into [1, min(n - 1, p)].
     """
     width = p // 10
     hard_hi = min(n - 1, p)
     lo = max(1, min(M - width, hard_hi))
-    hi = max(lo, min(M + width, n, hard_hi))
+    hi = max(lo, min(M + width, hard_hi))
     return lo, hi
 
 
@@ -645,16 +646,12 @@ def multi_start_foss_fs(
     bits.  Deterministic given its inputs.
 
     After its first step a restart's course depends only on the set that
-    step thresholds to, so the restarts are not iterated one by one.
-    The first sets of the prefixes, the near-dependent ones the path
-    refits by the minimum-norm solver included, come FIRST_SET_ROWS at a
-    time from one product X'(y - X_A B) for the chunk's coefficient rows
-    B, thresholded row by row; a prefix whose cut that product does not
-    decide beyond its rounding bound (``_first_sets``) forms its gradient
-    afresh, as ``run`` does.  Each distinct first set is walked
-    once, and each restart's result is built from its walk (see
-    ``_FossStep.restart``), with each set refit once per call.  So the
-    result is the one separate ``run`` calls give, bit for bit.
+    step thresholds to, so every prefix reaches the loop as one pair
+    (start, first set) from ``_restart_points`` and its run is
+    ``_FossStep.restart(start, first)``, built from the walk of its
+    first set.  Each distinct first set is walked once and each set refit
+    once per call, so the result is the one separate ``run`` calls give,
+    bit for bit.
     """
     if opts is None:
         opts = IterationOptions(algorithm="foss")
@@ -670,21 +667,8 @@ def multi_start_foss_fs(
     best_key = None
     first_on_set: dict[tuple[int, ...], ScreeningResult] = {}
     ranked: set[ScreeningResult] = set()
-    for size in range(lo, hi + 1):
-        # FIRST_SET_ROWS prefixes at a time bounds the dense rows held at once.
-        row = (size - lo) % FIRST_SET_ROWS
-        if row == 0:
-            betas = fs_path.dense_coefs(size, min(size + FIRST_SET_ROWS - 1, hi))
-            firsts = _first_sets(problem, fs_path, size, betas, M)
-        coef = SparseCoef.from_dense(betas[row])
-        first = firsts[row]
-        # Beyond the budget the run is its first set's walk: no residual.
-        residual = None
-        if first is None or coef.active.size <= M:
-            residual = _residual(problem, coef)
-        if first is None:
-            first = step.first_set(coef, problem.X.T @ residual)
-        result = step.restart(coef, residual, first)
+    for start, first in _restart_points(step, fs_path, lo, hi):
+        result = step.restart(start, first)
         if result in ranked:  # a walk shared with an earlier restart
             continue
         ranked.add(result)
@@ -694,19 +678,37 @@ def multi_start_foss_fs(
         if best_key is None or key < best_key:
             best, best_key = result, key
     counted = first_on_set[best_key[1]]
-    return ScreeningResult(
-        coef=best.coef,
-        rss_trace=best.rss_trace,
-        iterations=counted.iterations,
-        termination=counted.termination,
-    )
+    return replace(best, iterations=counted.iterations, termination=counted.termination)
 
 
-def _first_sets(problem: StandardizedProblem, fs_path, lo: int, betas, M: int) -> list:
+def _restart_points(step: _FossStep, fs_path, lo: int, hi: int):
+    """Yield ``(start, first)`` for each stepwise prefix of size lo..hi:
+    its least-squares coefficients and the set the first step from them
+    thresholds to with ``step``'s budget M.
+
+    The prefixes come FIRST_SET_ROWS at a time, which bounds the dense
+    rows held at once.  A prefix whose set the chunk's product decides
+    (``_first_sets``) takes it from there; any other forms its gradient
+    afresh, as ``run`` does.
+    """
+    problem = step.problem
+    for size in range(lo, hi + 1, FIRST_SET_ROWS):
+        betas = fs_path.dense_coefs(size, min(size + FIRST_SET_ROWS - 1, hi))
+        keep, decided = _first_sets(problem, fs_path, size, betas, step.M)
+        for beta, row, sure in zip(betas, keep, decided):
+            start = SparseCoef.from_dense(beta)
+            if sure:
+                first = tuple(np.flatnonzero(row).tolist())
+            else:
+                first = step.first_set(start, problem.X.T @ _residual(problem, start))
+            yield start, first
+
+
+def _first_sets(problem: StandardizedProblem, fs_path, lo: int, betas, M: int):
     """Per row of ``betas`` (the prefixes of sizes lo, lo + 1, ...), the
-    set the first step from it thresholds to with budget M, by
-    ``hard_threshold``'s cut and tie rule without its zeros; None where
-    that set is left to a gradient formed afresh.
+    mask of the entries of beta + g / c at or above ``hard_threshold``'s
+    cut with budget M, g the row's gradient, and whether that mask is
+    the set the first step from the row thresholds to.
 
     Every row takes its gradient from ``_prefix_gradients``, whether the
     sweep's factor or the minimum-norm solver solved it: the bound there
@@ -718,7 +720,6 @@ def _first_sets(problem: StandardizedProblem, fs_path, lo: int, betas, M: int) -
     same M columns, all nonzero.
     """
     p = problem.p
-    sets = [None] * betas.shape[0]
     G, bound = _prefix_gradients(problem, fs_path, lo, betas)
     eps = np.finfo(float).eps
     v = G / problem.c
@@ -732,13 +733,7 @@ def _first_sets(problem: StandardizedProblem, fs_path, lo: int, betas, M: int) -
         cut, below = part[:, p - M], part[:, p - M - 1]
     else:
         cut, below = mag.min(axis=1), 0.0
-    decided = np.flatnonzero(cut - below > 2.0 * slack)
-    keep = mag[decided] >= cut[decided, None]
-    columns = np.nonzero(keep)[1].tolist()
-    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-    for i, start, end in zip(decided.tolist(), [0, *ends], ends):
-        sets[i] = tuple(columns[start:end])
-    return sets
+    return mag >= cut[:, None], cut - below > 2.0 * slack
 
 
 def _prefix_gradients(problem: StandardizedProblem, fs_path, lo: int, B):

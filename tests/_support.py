@@ -165,6 +165,33 @@ def unique_solution_problem(seed, n=40, M=3, sigma=0.2):
     return standardize(X, y), M
 
 
+def draw_small_problem(draw, n, p):
+    """A standardized n x p problem for a property test, ``draw`` being
+    a hypothesis draw: a gaussian design, or one with a duplicated
+    column, rounded entries (and response), a near-collinear last column
+    or one or two constant columns."""
+    # hypothesis is a test extra: imported here so the other helpers load
+    # without it.
+    from hypothesis import strategies as st
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, p))
+    shape = draw(st.sampled_from(["gaussian", "duplicate", "rounded", "near", "constant"]))
+    if shape == "duplicate":
+        X[:, draw(st.integers(0, p - 1))] = X[:, 0]
+    elif shape == "constant":
+        for j in draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=2, unique=True)):
+            X[:, j] = rng.standard_normal()
+    elif shape == "rounded":
+        X = np.round(X)
+    elif shape == "near":
+        X[:, -1] = X[:, 0] + 10.0 ** -draw(st.integers(3, 11)) * rng.standard_normal(n)
+    y = X @ (rng.standard_normal(p) * (rng.random(p) < 0.5)) + rng.standard_normal(n)
+    if shape == "rounded":
+        y = np.round(y)
+    return standardize(X, y)
+
+
 def plain_best_subset(problem: StandardizedProblem, M: int) -> ScreeningResult:
     """Globally optimal size-M subset by full enumeration.
 

@@ -193,6 +193,16 @@ class TestScreen:
         assert main(["screen", x_path, y_path, "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_two_column_response_exits_2_naming_the_file(self, tmp_path, capsys):
+        X = np.random.default_rng(73).standard_normal((10, 3))
+        x_path, _ = write_xy(tmp_path, X, X[:, 0])
+        y_path = tmp_path / "y2.csv"
+        np.savetxt(y_path, X[:, :2], delimiter=",")
+        out = tmp_path / "result.json"
+        assert main(["screen", x_path, str(y_path), "--out", str(out)]) == 2
+        assert f"{y_path}:1: expected a single column, found 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_subset_size_below_1_exits_3_naming_the_flag(self, tmp_path, capsys, size):
         rng = np.random.default_rng(75)
@@ -786,7 +796,7 @@ def _modules_after_command(tmp_path, command):
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -86,6 +86,10 @@ class TestHardThreshold:
     def test_m_zero(self):
         np.testing.assert_array_equal(hard_threshold(np.array([1.0, 2.0]), 0), [0.0, 0.0])
 
+    def test_negative_m_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hard_threshold(np.array([1.0, 2.0]), -1)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_stable_argsort_on_ties(self, seed):
         # Few distinct magnitudes, both signs, zeros of both signs: most
@@ -350,6 +354,12 @@ class TestDrivers:
         assert np.array_equal(first.rss_trace, second.rss_trace)
         assert first.termination == second.termination
         assert first.iterations == second.iterations
+
+    @pytest.mark.parametrize("algorithm", ["oss", "foss"])
+    def test_rejects_an_empty_budget(self, algorithm):
+        prob = random_problem(26, n=20, p=5, d=2)
+        with pytest.raises(ValueError, match="M must be at least 1"):
+            run(prob, SparseCoef.zeros(5), 0, IterationOptions(algorithm))
 
     def test_rejects_bad_options(self):
         with pytest.raises(ValueError):
@@ -668,6 +678,12 @@ class TestExhaustive:
         prob = random_problem(32, n=40, p=30, d=2)
         with pytest.raises(EnumerationCapError, match=r"C\(30, 10\)"):
             exhaustive_best_subset(prob, 10)
+
+    @pytest.mark.parametrize("M", [-1, 6])
+    def test_budget_outside_zero_to_p_is_rejected(self, M):
+        prob = random_problem(32, n=20, p=5, d=2)
+        with pytest.raises(ValueError, match=r"outside \[0, p\]"):
+            exhaustive_best_subset(prob, M)
 
     def test_minimum_norm_refit_handles_duplicate_columns(self):
         rng = np.random.default_rng(33)
@@ -1031,6 +1047,21 @@ class TestOssJumpMatchesStepByStep:
         assert got.termination == TERM_CONVERGED and got.iterations == stop + 1
         assert spans and not any(first <= stop <= last for first, last in spans)
         assert any(last == stop - 1 for _, last in spans)
+
+    def test_a_large_finite_rel_tol_stops_after_one_step(self):
+        # rel_tol times the objective overflows inside the jump's stop
+        # test.  The jump must stop there without a warning and leave the
+        # step to the ordinary loop, whose stop test then fires.
+        prob, init, _ = _one_moving_coordinate()
+        opts = IterationOptions("oss", rel_tol=1e308)
+        assert np.array_equal(oss_step(prob, init, 4).active, init.active)
+        assert rss(prob, init) * 1e308 == np.inf
+        got = run(prob, init, 4, opts)
+        ref = reference_run(prob, init, 4, opts)
+        assert got.coef.beta.tobytes() == ref.coef.beta.tobytes()
+        assert got.rss_trace.tobytes() == ref.rss_trace.tobytes()
+        assert (got.iterations, got.termination) == (1, TERM_CONVERGED)
+        assert (ref.iterations, ref.termination) == (1, TERM_CONVERGED)
 
     @pytest.mark.parametrize("max_iter", [1, 2, 300])
     @pytest.mark.parametrize("case", sorted(MULTI_START_CASES))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import pickle
 
 import numpy as np
@@ -74,6 +75,13 @@ class TestConfig:
             ({"methods": ["foss-sis", "fs"], "isis_batch": 2}, "isis_batch"),
             # Out of range, though an integer.
             ({"seed": -1}, "seed"),
+            ({"rel_tol": -1e-6}, "rel_tol"),
+            ({"methods": ["isis"], "isis_batch": 7}, "isis_batch"),
+            # Of the wrong type.
+            ({"sigma": "1.0"}, "sigma"),
+            ({"methods": ["sis", 3]}, "methods"),
+            ({"design": "kronecker"}, "design"),
+            ({"design": {"kind": "bogus"}}, "design.kind"),
         ],
     )
     def test_violations_name_the_key(self, overrides, key):
@@ -111,6 +119,17 @@ class TestConfig:
             config_from_dict({"n": 40})
         assert err.value.key == "p"
 
+    def test_missing_number_named(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"n": 40, "p": 15})
+        assert err.value.key == "rho"
+
+    @pytest.mark.parametrize("raw", [[], "config", None])
+    def test_root_that_is_not_an_object_is_named(self, raw):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert err.value.key == "<root>"
+
     def test_kronecker_dimensions_from_file(self, tmp_path):
         rng = np.random.default_rng(14)
         path = tmp_path / "base.csv"
@@ -137,6 +156,27 @@ class TestConfig:
                 }
             )
         assert err.value.key == "n"
+
+    @pytest.mark.parametrize(
+        "design, overrides, key",
+        [
+            ({"base_design_path": None}, {}, "design.base_design_path"),
+            ({"hadamard_order": 3}, {}, "design.hadamard_order"),
+            ({}, {"p": 21}, "p"),
+        ],
+    )
+    def test_kronecker_violations_name_the_key(self, tmp_path, design, overrides, key):
+        path = tmp_path / "base.csv"
+        np.savetxt(path, np.ones((6, 10)), delimiter=",", fmt="%.0f")
+        design = {"kind": "kronecker", "base_design_path": str(path), "hadamard_order": 2, **design}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(
+                {
+                    "d": 3, "sigma": 1.0, "beta_value": 1.0, "M": 5, "repetitions": 2,
+                    "methods": ["sis"], "seed": 3, "design": design, **overrides,
+                }
+            )
+        assert err.value.key == key
 
     @pytest.mark.parametrize("rho", [0.0, 0.9, "abc"])
     def test_kronecker_rejects_rho(self, tmp_path, rho):
@@ -208,6 +248,13 @@ class TestAggregate:
             for rep, covered in enumerate([1, 0, 0])
         ]
         assert aggregate_records(made).row("sis").cr == 1 / 3
+
+    def test_no_records_and_unknown_methods_are_rejected(self):
+        with pytest.raises(ValueError, match="no records"):
+            aggregate_records([])
+        table = aggregate_records([RepetitionRecord(0, "sis", 1, 1.0, 0, ())])
+        with pytest.raises(KeyError):
+            table.row("fs")
 
     def test_constant_rss_mean(self):
         config = small_config(repetitions=3)
@@ -331,6 +378,13 @@ class TestRunExperiment:
         assert result.table.row("sis").repetitions == 3
         assert result.table.row("sis").exclusions == 1
         assert {r.rep for r in result.records} == {0, 1, 3}
+
+    def test_an_unknown_design_kind_is_named(self):
+        # A config built by hand, past config_from_dict's checks.
+        config = dataclasses.replace(small_config(), design=experiments.DesignSpec(kind="bogus"))
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config)
+        assert err.value.key == "design.kind"
 
     def test_kronecker_design_runs_to_completion(self, tmp_path):
         rng = np.random.default_rng(16)

@@ -76,6 +76,10 @@ class TestStandardize:
             standardize(bad, np.ones(4))
         with pytest.raises(ValueError):
             standardize(np.ones((4, 2)) + np.arange(4)[:, None], np.array([1.0, 2.0, np.inf, 0.0]))
+        with pytest.raises(ValueError, match="2-D"):
+            standardize(np.arange(4.0), np.ones(4))
+        with pytest.raises(ValueError, match="at least one column"):
+            standardize(np.ones((4, 0)), np.ones(4))
 
 
 class TestPowerMethod:
@@ -385,6 +389,8 @@ class TestMinNormLeastSquares:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             min_norm_least_squares(np.ones((3, 2)), np.ones(4))
+        with pytest.raises(ValueError, match="2-D"):
+            min_norm_least_squares(np.ones(3), np.ones(3))
 
     def test_rank_deficient_residual_orthogonality(self):
         rng = np.random.default_rng(7)

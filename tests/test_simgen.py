@@ -114,6 +114,10 @@ class TestGenerativeModel:
             GenerativeModel(50, 10, 3, 1.0, 1.0, 3.0, seed=1)
         with pytest.raises(ValueError):
             GenerativeModel(50, 10, 3, 0.0, 0.0, 3.0, seed=1)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            GenerativeModel(1, 10, 3, 0.0, 1.0, 3.0, seed=1)
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            GenerativeModel(50, 0, 0, 0.0, 1.0, 3.0, seed=1)
 
 
 class TestHadamard:
@@ -163,6 +167,13 @@ class TestKroneckerDesign:
         D = self._base(12, n0=3, p0=4)
         with pytest.raises(ValueError):
             kronecker_design(np.ones((2, 2)), D)
+
+    def test_rejects_misshapen_factors(self):
+        D = self._base(13, n0=3, p0=4)
+        with pytest.raises(ValueError, match="square"):
+            kronecker_design(np.ones((2, 1)), D)
+        with pytest.raises(ValueError, match="D must be 2-D"):
+            kronecker_design(sylvester_hadamard(2), D[0])
 
     def test_warns_on_non_two_level_base(self):
         H = sylvester_hadamard(2)
