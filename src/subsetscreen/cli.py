@@ -4,7 +4,9 @@ Three subcommands: ``screen`` fits a screening method to CSV data,
 ``simulate`` runs a Monte Carlo grid from a JSON config, and ``oracle``
 invokes the exhaustive best-subset search.  Every run emits a manifest
 sufficient to replay it exactly.  Indices in output files are 1-based;
-the library is 0-based internally.
+the library is 0-based internally.  ``main`` alone maps failures to exit
+codes: 2 for bad input or data too large to allocate, 3 for inconsistent
+dimensions, 4 for an oracle search beyond the enumeration cap.
 """
 
 from __future__ import annotations
@@ -54,12 +56,8 @@ class _Failure(Exception):
 
 
 def _read_xy(x_path, y_path):
-    """Read X and y; exit 2 on a bad file, 3 when their row counts differ."""
-    try:
-        X = read_matrix_csv(x_path)
-        y = read_vector_csv(y_path)
-    except InputFileError as exc:
-        raise _Failure(EXIT_INPUT, str(exc)) from None
+    """Read X and y; exit 3 when their row counts differ."""
+    X, y = read_matrix_csv(x_path), read_vector_csv(y_path)
     if y.shape[0] != X.shape[0]:
         raise _Failure(
             EXIT_DIMENSION,
@@ -168,14 +166,9 @@ def cmd_screen(args, argv) -> int:
         raise _Failure(EXIT_DIMENSION, "not enough rows/columns to select anything")
 
     n, p = X.shape
-    try:
-        problem = standardize(X, y)
-        del X  # the method needs only the standardized copy
-        outcome = run_method(
-            problem, method, M, rel_tol=args.rel_tol, max_iter=args.max_iter
-        )
-    except ValueError as exc:
-        raise _Failure(EXIT_INPUT, str(exc))
+    problem = standardize(X, y)
+    del X  # the method needs only the standardized copy
+    outcome = run_method(problem, method, M, rel_tol=args.rel_tol, max_iter=args.max_iter)
 
     slope, intercept = _back_transform(problem, outcome.coef.beta)
     result = {
@@ -227,8 +220,6 @@ def cmd_simulate(args, argv) -> int:
     """Run a Monte Carlo grid from a JSON config (or a prior manifest)."""
     try:
         raw = json.loads(read_text(args.config_path))
-    except InputFileError as exc:
-        raise _Failure(EXIT_INPUT, str(exc)) from None
     except json.JSONDecodeError as exc:
         raise _Failure(EXIT_INPUT, f"{args.config_path}:{exc.lineno}: {exc.msg}")
 
@@ -241,28 +232,24 @@ def cmd_simulate(args, argv) -> int:
     if args.max_iter is not None and isinstance(raw, dict):
         raw = {**raw, "max_iter": args.max_iter}
 
+    config = config_from_dict(raw)
+    # The rel_tol key itself stays valid here: every manifest carries it.
+    if args.rel_tol is not None and not iterates_any(config.methods):
+        raise _Failure(
+            EXIT_INPUT, f"--rel-tol applies only to oss- and foss- methods, not {config.methods}"
+        )
+    # Made before the run, so a path that cannot be a directory fails at
+    # once; a run that fails, or is interrupted, takes away what this made.
     out_dir = Path(args.out or "simulate_out")
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        config = config_from_dict(raw)
-        # The rel_tol key itself stays valid here: every manifest carries it.
-        if args.rel_tol is not None and not iterates_any(config.methods):
-            raise _Failure(
-                EXIT_INPUT,
-                f"--rel-tol applies only to oss- and foss- methods, not {config.methods}",
-            )
-        # Made before the run, so a path that cannot be a directory fails
-        # at once; a run that fails takes away what this made.
-        made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
-        with _writing(out_dir):
-            out_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            result = run_experiment(config, workers=args.workers)
-        except ValueError:
-            for path in made:
-                path.rmdir()
-            raise
-    except ValueError as exc:
-        raise _Failure(EXIT_INPUT, str(exc))
+        result = run_experiment(config, workers=args.workers)
+    except BaseException:
+        for path in made:
+            path.rmdir()
+        raise
 
     agg_path = out_dir / "aggregate.csv"
     rep_path = out_dir / "repetitions.csv"
@@ -292,14 +279,7 @@ def cmd_oracle(args, argv) -> int:
     if not 0 <= M <= p:
         raise _Failure(EXIT_DIMENSION, f"M = {M} is outside [0, p] with p = {p}")
 
-    try:
-        problem = standardize(X, y)
-        res = exhaustive_best_subset(problem, M)
-    except EnumerationCapError as exc:
-        raise _Failure(EXIT_CAP, str(exc))
-    except ValueError as exc:
-        raise _Failure(EXIT_INPUT, str(exc))
-
+    res = exhaustive_best_subset(standardize(X, y), M)
     result = {
         "command": "oracle",
         "subset_size": M,
@@ -393,8 +373,16 @@ def main(argv=None) -> int:
     try:
         return handler(args, argv)
     except _Failure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
+    except EnumerationCapError as exc:
+        code, message = EXIT_CAP, str(exc)
+    except ValueError as exc:
+        code, message = EXIT_INPUT, str(exc)
+    except MemoryError as exc:
+        # numpy's names the allocation; a bare one says nothing.
+        code, message = EXIT_INPUT, str(exc) or "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry_point() -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -393,11 +394,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     fixed blocks (see ``_blocks``): on a fixed (Kronecker) design, the
     repetitions of a block share one lockstep stepwise sweep.  With
     ``workers > 1`` the blocks run in a pool of at most one process per
-    block.  Output is identical for any worker count because every
-    repetition derives its own streams, block membership depends on the
-    repetition index alone, and the aggregation folds records in
-    repetition order.  A fixed design is built and prepared once per
-    call and passed to every block.  A repetition that fails is
+    block and per usable CPU.  Output is identical for any worker count
+    because every repetition derives its own streams, block membership
+    depends on the repetition index alone, and the aggregation folds
+    records in repetition order.  A fixed design is built and prepared
+    once per call and passed to every block.  A repetition that fails is
     excluded on its own and listed in ``exclusions`` with the reason.
 
     Raises ValueError when ``workers`` is below 1, when the fixed design
@@ -409,7 +410,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     blocks = _blocks(config)
     task = partial(_evaluate_block, config, _fixed_design(config))
     # The pool starts all its processes at the first submit.
-    workers = min(workers, len(blocks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(blocks), cpus or 1)
     if workers > 1:
         # Imported here: the pool's modules are a few MB that a run in
         # this process never needs.
@@ -578,6 +580,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     kind = design_raw.get("kind", "equicorrelated")
     if kind not in ("equicorrelated", "kronecker"):
         raise ConfigError("design.kind", f"unknown design kind {kind!r}")
+    # The keys each kind reads, and the only ones config_to_dict writes.
+    design_keys = (
+        ("kind", "base_design_path", "hadamard_order") if kind == "kronecker" else ("kind",)
+    )
+    for key in design_raw:
+        if key not in design_keys:
+            raise ConfigError(f"design.{key}", "unknown key")
 
     def require_int(key, minimum=None, raw_map=raw, label=None):
         label = label or key

@@ -77,6 +77,10 @@ MALFORMED_CSV = [
 ]
 
 
+# What numpy's MemoryError says when an array cannot be allocated.
+ALLOCATION_FAILURE = "Unable to allocate 99.0 GiB for an array with shape (114000, 116000)"
+
+
 class TestReadMatrixCsv:
     """The np.loadtxt path must read exactly what the row parser reads."""
 
@@ -779,6 +783,54 @@ class TestSimulate:
         out = tmp_path / "run"
         assert main(["simulate", config, "--workers", workers, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "target, error, message",
+        [
+            ("_fixed_design", MemoryError(ALLOCATION_FAILURE), ALLOCATION_FAILURE),
+            ("_problem", MemoryError(), "out of memory"),
+        ],
+        ids=["design", "repetition"],
+    )
+    def test_out_of_memory_exits_2_and_removes_the_directories_it_made(
+        self, tmp_path, capsys, monkeypatch, target, error, message
+    ):
+        from subsetscreen import experiments
+
+        def allocate(*args):
+            raise error
+
+        monkeypatch.setattr(experiments, target, allocate)
+        config = self.base_config(tmp_path)
+        out = tmp_path / "new" / "run"
+        assert main(["simulate", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "new").exists()
+
+    def test_interrupted_run_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        config = self.base_config(tmp_path)
+        out = tmp_path / "new" / "run"
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", config, "--out", str(out)])
+        assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["screen", "oracle"])
+def test_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypatch, command):
+    def allocate(X, y):
+        raise MemoryError(ALLOCATION_FAILURE)
+
+    monkeypatch.setattr(cli, "standardize", allocate)
+    X = np.random.default_rng(89).standard_normal((10, 3))
+    x_path, y_path = write_xy(tmp_path, X, X[:, 0])
+    out = tmp_path / "r.json"
+    assert main([command, x_path, y_path, "-M", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {ALLOCATION_FAILURE}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["screen", "oracle"])

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import itertools
+import os
 import pickle
 
 import numpy as np
@@ -86,6 +87,13 @@ class TestConfig:
             ({"methods": ["sis", 3]}, "methods"),
             ({"design": "kronecker"}, "design"),
             ({"design": {"kind": "bogus"}}, "design.kind"),
+            ({"design": {"kind": ["kronecker"]}}, "design.kind"),
+            # A key the design's kind does not read.
+            (
+                {"design": {"kind": "equicorrelated", "base_design_path": "nope.csv", "typo": 1}},
+                "design.base_design_path",
+            ),
+            ({"design": {"kind": "equicorrelated", "typo": 1}}, "design.typo"),
         ],
     )
     def test_violations_name_the_key(self, overrides, key):
@@ -167,6 +175,7 @@ class TestConfig:
             ({"base_design_path": None}, {}, "design.base_design_path"),
             ({"hadamard_order": 3}, {}, "design.hadamard_order"),
             ({}, {"p": 21}, "p"),
+            ({"hadamard_ordr": 64}, {}, "design.hadamard_ordr"),
         ],
     )
     def test_kronecker_violations_name_the_key(self, tmp_path, design, overrides, key):
@@ -315,7 +324,10 @@ class TestRunExperiment:
         assert serial.records == parallel.records
         assert serial.table == parallel.table
 
-    def test_pool_has_at_most_one_process_per_repetition(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every pool run_experiment opens; the
+        pool runs its tasks in this process."""
         sizes = []
 
         class InProcessPool:
@@ -333,12 +345,34 @@ class TestRunExperiment:
 
         # run_experiment imports the pool only when it needs one.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    def test_pool_has_at_most_one_process_per_repetition(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         methods = ["sis"]
         expected = run_experiment(small_config(repetitions=3, methods=methods), workers=1)
         got = run_experiment(small_config(repetitions=3, methods=methods), workers=64)
         run_experiment(small_config(repetitions=1, methods=methods), workers=64)
-        assert sizes == [3]
+        assert pool_sizes == [3]
         assert got.records == expected.records
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, sizes",
+        [({0, 1}, 8, [2]), ({5}, 8, []), (None, 2, [2]), (None, None, [])],
+        ids=["two-usable", "one-usable", "count-only", "count-unknown"],
+    )
+    def test_pool_has_at_most_one_process_per_usable_cpu(
+        self, monkeypatch, pool_sizes, affinity, cpu_count, sizes
+    ):
+        if affinity is None:  # a platform without sched_getaffinity
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        config = small_config(repetitions=6, methods=["sis"])
+        expected = run_experiment(config, workers=1)
+        assert run_experiment(config, workers=5000).records == expected.records
+        assert pool_sizes == sizes
 
     def test_records_cover_every_rep_and_method(self):
         config = small_config(repetitions=5)
